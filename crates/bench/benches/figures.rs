@@ -11,7 +11,8 @@ fn tiny_cfg() -> ExperimentConfig {
 }
 
 fn tiny_results() -> Vec<driver::TopologyResults> {
-    driver::run_topologies(&["AS1239".to_string()], &tiny_cfg()).expect("AS1239 is in Table II")
+    let as1239 = rtr_topology::isp::profile("AS1239").expect("AS1239 is in Table II");
+    driver::run_topologies(&[as1239], &tiny_cfg()).expect("AS1239 builds MRC")
 }
 
 fn bench_workload(c: &mut Criterion) {

@@ -1,9 +1,9 @@
 //! Microbenches of RTR's phase-1 hot path: the word-parallel
 //! `SweepContext::is_excluded` membership test, one `select_next_hop`
 //! sweep step, and the full boundary walk (`collect_failure_info`), each
-//! run once per crossing-mask kernel (scalar, batched, and — behind the
-//! `simd` feature — AVX2). These isolate the bitset/crossing-mask kernels
-//! that `BENCH_eval.json`'s `sweep_secs_*` columns measure end to end.
+//! run once per crossing-mask kernel (scalar and batched). These isolate
+//! the bitset/crossing-mask kernels that `BENCH_eval.json`'s
+//! `sweep_secs_*` columns measure end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtr_bench::fixture;
@@ -16,8 +16,6 @@ fn kernels() -> Vec<(&'static str, SweepKernel)> {
     vec![
         ("scalar", SweepKernel::Scalar),
         ("batched", SweepKernel::Batched),
-        #[cfg(feature = "simd")]
-        ("simd", SweepKernel::Simd),
     ]
 }
 

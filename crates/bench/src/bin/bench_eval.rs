@@ -7,8 +7,7 @@
 //! The serial measurement is taken once per shortest-path queue kernel
 //! (`serial_secs_heap` vs `serial_secs_bucket`) and the phase-1 boundary
 //! sweep once per crossing-mask kernel (`sweep_secs_scalar` vs
-//! `sweep_secs_batched`, plus `sweep_secs_simd` when built with
-//! `--features simd`); `serial_secs` and `sweep_secs` always alias the
+//! `sweep_secs_batched`); `serial_secs` and `sweep_secs` always alias the
 //! default kernel's column, so downstream tooling keeps one stable name
 //! for "what the driver actually runs".
 //!
@@ -20,7 +19,7 @@
 use rtr_core::{RtrSession, SessionPool, SweepKernel};
 use rtr_eval::baseline::Baseline;
 use rtr_eval::json::Json;
-use rtr_eval::testcase::{generate_workload_shared, Workload};
+use rtr_eval::testcase::{generate_workload_shared, sessions, Workload};
 use rtr_eval::{config::ExperimentConfig, driver, par};
 use rtr_routing::{Kernels, QueueKernel};
 use rtr_topology::{isp, NodeId};
@@ -88,30 +87,26 @@ fn median_sweep_secs(w: &Workload, sweep: SweepKernel) -> f64 {
 fn mean_nodes_touched(w: &Workload) -> f64 {
     let pool = SessionPool::new();
     let mut total = 0usize;
-    let mut sessions = 0usize;
+    let mut started = 0usize;
     for sc in &w.scenarios {
-        let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-        for case in &sc.recoverable {
-            if !seen.insert(case.initiator) {
-                continue;
-            }
+        for (initiator, failed_link, _) in sessions(&sc.recoverable) {
             let session: &RtrSession<'_, _> = &pool
                 .start_session(
                     w.topo(),
                     w.crosslinks(),
                     &sc.scenario,
-                    case.initiator,
-                    case.failed_link,
+                    initiator,
+                    failed_link,
                 )
                 .expect("recoverable case: live initiator with a failed incident link");
             total += session.computer().nodes_touched();
-            sessions += 1;
+            started += 1;
         }
     }
-    if sessions == 0 {
+    if started == 0 {
         0.0
     } else {
-        total as f64 / sessions as f64
+        total as f64 / started as f64
     }
 }
 
@@ -165,13 +160,9 @@ fn main() {
         // One boundary-sweep measurement per crossing-mask kernel.
         let sweep_scalar = median_sweep_secs(&w, SweepKernel::Scalar);
         let sweep_batched = median_sweep_secs(&w, SweepKernel::Batched);
-        #[cfg(feature = "simd")]
-        let sweep_simd = median_sweep_secs(&w, SweepKernel::Simd);
         let sweep = match SweepKernel::default() {
             SweepKernel::Scalar => sweep_scalar,
             SweepKernel::Batched => sweep_batched,
-            #[cfg(feature = "simd")]
-            SweepKernel::Simd => sweep_simd,
         };
 
         let touched = mean_nodes_touched(&w);
@@ -184,8 +175,7 @@ fn main() {
             serial / parallel,
             p.nodes
         );
-        #[cfg_attr(not(feature = "simd"), allow(unused_mut))]
-        let mut row = vec![
+        let row = vec![
             ("name", Json::Str(p.name.to_string())),
             ("nodes", Json::Num(p.nodes as f64)),
             ("links", Json::Num(p.links as f64)),
@@ -199,8 +189,6 @@ fn main() {
             ("sweep_secs_batched", Json::Num(sweep_batched)),
             ("mean_nodes_touched", Json::Num(touched)),
         ];
-        #[cfg(feature = "simd")]
-        row.push(("sweep_secs_simd", Json::Num(sweep_simd)));
         rows.push(Json::Obj(row));
     }
 

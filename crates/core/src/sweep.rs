@@ -15,10 +15,9 @@ use rtr_sim::LinkIdSet;
 use rtr_topology::geometry::ccw_angle;
 use rtr_topology::{CrossLinkTable, GraphView, LinkId, NodeId, Topology};
 
-/// The intersection kernel used by [`SweepContext::is_excluded`]: scalar,
-/// portable 4×u64 batched, or (behind the `simd` feature) explicit AVX2.
-/// Re-exported from [`rtr_topology::kernels`], the single implementation
-/// site of all three lanes.
+/// The intersection kernel used by [`SweepContext::is_excluded`]: scalar
+/// or portable 4×u64 batched. Re-exported from [`rtr_topology::kernels`],
+/// the single implementation site of both.
 pub use rtr_topology::MaskKernel as SweepKernel;
 
 /// Borrowed context for the crossing-exclusion probes of one sweep: the
@@ -287,12 +286,7 @@ mod tests {
         let xl = CrossLinkTable::new(&topo);
         let mut excluded = LinkIdSet::new();
         excluded.insert(diag2);
-        let kernels = [
-            SweepKernel::Scalar,
-            SweepKernel::Batched,
-            #[cfg(feature = "simd")]
-            SweepKernel::Simd,
-        ];
+        let kernels = [SweepKernel::Scalar, SweepKernel::Batched];
         for k in kernels {
             let ctx = SweepContext::with_kernel(&xl, &excluded, k);
             assert!(ctx.is_excluded(diag1), "{k:?}");

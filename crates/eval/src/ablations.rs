@@ -13,10 +13,9 @@ use crate::baseline::Baseline;
 use crate::config::ExperimentConfig;
 use crate::metrics::percentage;
 use crate::reports::TableReport;
-use crate::testcase::{generate_workload_shared, Workload};
+use crate::testcase::{generate_workload_shared, sessions, Workload};
 use rtr_core::RtrSession;
 use rtr_topology::isp;
-use std::collections::BTreeSet;
 
 /// Aggregate outcome of evaluating one RTR variant over a workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,13 +41,7 @@ pub fn collection_ablation(w: &Workload) -> (VariantStats, VariantStats) {
 
     for sc in &w.scenarios {
         let truth: Vec<_> = sc.scenario.unusable_links(w.topo()).collect();
-        let mut seen_initiators = BTreeSet::new();
-        let mut by_initiator: std::collections::BTreeMap<_, Vec<_>> = Default::default();
-        for c in &sc.recoverable {
-            by_initiator.entry(c.initiator).or_default().push(c);
-        }
-        for (initiator, group) in by_initiator {
-            let failed = group[0].failed_link;
+        for (initiator, failed, group) in sessions(&sc.recoverable) {
             let mut single =
                 RtrSession::start(w.topo(), w.crosslinks(), &sc.scenario, initiator, failed)
                     .expect("recoverable case: live initiator with a failed incident link");
@@ -60,19 +53,17 @@ pub fn collection_ablation(w: &Workload) -> (VariantStats, VariantStats) {
                 failed,
             )
             .expect("recoverable case: live initiator with a failed incident link");
-            if seen_initiators.insert(initiator) {
-                let coverage = |session: &RtrSession<'_, _>| {
-                    let known = session.computer().removed_links();
-                    percentage(
-                        truth.iter().filter(|&&l| known.contains(l)).count(),
-                        truth.len().max(1),
-                    )
-                };
-                single_cov.push(coverage(&single));
-                thorough_cov.push(coverage(&thorough));
-                single_hops.push(single.phase1().trace.hops() as f64);
-                thorough_hops.push(thorough_walk as f64);
-            }
+            let coverage = |session: &RtrSession<'_, _>| {
+                let known = session.computer().removed_links();
+                percentage(
+                    truth.iter().filter(|&&l| known.contains(l)).count(),
+                    truth.len().max(1),
+                )
+            };
+            single_cov.push(coverage(&single));
+            thorough_cov.push(coverage(&thorough));
+            single_hops.push(single.phase1().trace.hops() as f64);
+            thorough_hops.push(thorough_walk as f64);
             for case in group {
                 cases += 1;
                 if single.recover(case.dest).is_delivered() {
@@ -109,17 +100,13 @@ fn single_sweep_stats(w: &Workload) -> (f64, f64) {
     let mut coverage = Vec::new();
     for sc in &w.scenarios {
         let truth: Vec<_> = sc.scenario.unusable_links(w.topo()).collect();
-        let mut by_initiator: std::collections::BTreeMap<_, Vec<_>> = Default::default();
-        for c in &sc.recoverable {
-            by_initiator.entry(c.initiator).or_default().push(c);
-        }
-        for (initiator, group) in by_initiator {
+        for (initiator, failed_link, group) in sessions(&sc.recoverable) {
             let mut session = RtrSession::start(
                 w.topo(),
                 w.crosslinks(),
                 &sc.scenario,
                 initiator,
-                group[0].failed_link,
+                failed_link,
             )
             .expect("recoverable case: live initiator with a failed incident link");
             let known = session.computer().removed_links();
@@ -142,10 +129,9 @@ fn single_sweep_stats(w: &Workload) -> (f64, f64) {
 }
 
 /// The collection-thoroughness ablation over the given topologies.
-pub fn thoroughness_report(names: &[String], cfg: &ExperimentConfig) -> TableReport {
-    let profiles = resolve(names);
+pub fn thoroughness_report(profiles: &[isp::IspProfile], cfg: &ExperimentConfig) -> TableReport {
     let mut rows = Vec::new();
-    for p in profiles {
+    for &p in profiles {
         eprintln!("[rtr-eval] thoroughness ablation on {}...", p.name);
         let w = generate_workload_shared(
             p.name,
@@ -183,10 +169,9 @@ pub fn thoroughness_report(names: &[String], cfg: &ExperimentConfig) -> TableRep
 }
 
 /// The embedding-correlation ablation over the given topologies.
-pub fn embedding_report(names: &[String], cfg: &ExperimentConfig) -> TableReport {
-    let profiles = resolve(names);
+pub fn embedding_report(profiles: &[isp::IspProfile], cfg: &ExperimentConfig) -> TableReport {
     let mut rows = Vec::new();
-    for p in profiles {
+    for &p in profiles {
         eprintln!("[rtr-eval] embedding ablation on {}...", p.name);
         let run = |base: std::sync::Arc<Baseline>| {
             let w = generate_workload_shared(p.name, base, cfg, cfg.seed ^ u64::from(p.asn));
@@ -220,17 +205,6 @@ pub fn embedding_report(names: &[String], cfg: &ExperimentConfig) -> TableReport
     }
 }
 
-fn resolve(names: &[String]) -> Vec<isp::IspProfile> {
-    if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).unwrap_or_else(|| panic!("unknown topology {n}")))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,10 +224,10 @@ mod tests {
     #[test]
     fn reports_render() {
         let cfg = ExperimentConfig::quick().with_cases(30);
-        let names = vec!["AS1239".to_string()];
-        let a = thoroughness_report(&names, &cfg);
+        let profiles = [isp::profile("AS1239").unwrap()];
+        let a = thoroughness_report(&profiles, &cfg);
         assert!(a.to_string().contains("AS1239"));
-        let b = embedding_report(&names, &cfg);
+        let b = embedding_report(&profiles, &cfg);
         assert_eq!(b.rows.len(), 1);
         // Geometric embedding should collect at least as much as random.
         let geo: f64 = b.rows[0][3].parse().unwrap();

@@ -9,6 +9,7 @@
 //! every case routed from it); the scenario's aggregate counters follow.
 
 use rtr_eval::writer;
+use rtr_topology::isp;
 
 fn main() {
     // Extract `--scenario N` before handing the rest to the shared parser.
@@ -34,15 +35,9 @@ fn main() {
         std::process::exit(2);
     });
 
-    let name = opts
-        .topologies
-        .first()
-        .map(String::as_str)
-        .unwrap_or("AS209");
-    let w = rtr_eval::trace::workload_for(name, &opts.config).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let profile = opts.topologies.first().copied().unwrap_or(isp::TABLE2[0]);
+    let name = profile.name;
+    let w = rtr_eval::trace::workload_for(profile, &opts.config);
 
     let (index, sc) = match scenario_arg {
         Some(i) => match w.scenarios.get(i) {

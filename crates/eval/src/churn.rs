@@ -829,18 +829,11 @@ pub fn run_timeline(
             stretch_sum: 0.0,
             stretch_count: 0,
         };
-        let mut idx = 0;
-        while idx < selected.len() {
-            let Some(&(u, l, _)) = selected.get(idx) else {
-                break;
+        // One session per run of equal (initiator, failed link).
+        for group in selected.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let Some(&(u, l, _)) = group.first() else {
+                continue;
             };
-            let mut end = idx;
-            while selected.get(end).is_some_and(|c| c.0 == u && c.1 == l) {
-                end += 1;
-            }
-            let group = &selected[idx..end];
-            idx = end;
-
             let mut opt_lease = pool.dijkstra();
             let optimal = opt_lease.run(topo, &truth, u);
             match pool.start_based_session(topo, base.crosslinks(), &truth, believed.mask(), u, l) {

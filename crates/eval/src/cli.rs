@@ -7,7 +7,8 @@
 //! --paper          paper scale (10000 cases, 1000 areas per radius)
 //! --quick          quick scale (500 cases, 100 areas per radius)
 //! --seed S         base RNG seed
-//! --topos A,B,...  comma-separated topology names (default: all eight)
+//! --topos A,B,...  comma-separated Table II names (default: all eight);
+//!                  an unknown name is a usage error
 //! --json PATH      also write the report as JSON
 //! --trace PATH     replay every scenario with a live trace sink and
 //!                  write one JSONL metrics line per scenario
@@ -23,14 +24,33 @@
 
 use crate::config::ExperimentConfig;
 use crate::json::ToJson;
+use rtr_topology::isp::{self, IspProfile};
+use std::fmt;
+
+/// A requested topology name that is not one of the Table II twins.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownTopology(pub String);
+
+impl fmt::Display for UnknownTopology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown topology {:?} (expected one of", self.0)?;
+        for (i, p) in isp::TABLE2.iter().enumerate() {
+            write!(f, "{} {}", if i == 0 { "" } else { "," }, p.name)?;
+        }
+        write!(f, ")")
+    }
+}
+
+impl std::error::Error for UnknownTopology {}
 
 /// Parsed common options.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
     /// Experiment configuration assembled from the flags.
     pub config: ExperimentConfig,
-    /// Selected topology names (empty = all of Table II).
-    pub topologies: Vec<String>,
+    /// Selected Table II topologies, in `--topos` order (all eight when
+    /// the flag is absent).
+    pub topologies: Vec<IspProfile>,
     /// Optional JSON output path.
     pub json: Option<String>,
     /// Optional JSONL trace output path (see [`crate::trace`]).
@@ -42,7 +62,8 @@ impl Options {
     ///
     /// # Errors
     ///
-    /// Returns a usage message on unknown flags or malformed values.
+    /// Returns a usage message on unknown flags, malformed values, or a
+    /// `--topos` name outside Table II ([`UnknownTopology`]'s message).
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
         let mut opts = Options {
             config: ExperimentConfig::default(),
@@ -78,7 +99,14 @@ impl Options {
                 }
                 "--topos" => {
                     let v = it.next().ok_or("--topos requires a value")?;
-                    opts.topologies = v.split(',').map(|s| s.trim().to_string()).collect();
+                    opts.topologies = v
+                        .split(',')
+                        .map(|n| {
+                            let n = n.trim();
+                            isp::profile(n).ok_or_else(|| UnknownTopology(n.to_string()))
+                        })
+                        .collect::<Result<_, _>>()
+                        .map_err(|e| e.to_string())?;
                 }
                 "--json" => {
                     opts.json = Some(it.next().ok_or("--json requires a path")?);
@@ -94,6 +122,9 @@ impl Options {
                 "--help" | "-h" => return Err(USAGE.to_string()),
                 other => return Err(format!("unknown flag {other}\n{USAGE}")),
             }
+        }
+        if opts.topologies.is_empty() {
+            opts.topologies = isp::TABLE2.to_vec();
         }
         Ok(opts)
     }
@@ -143,7 +174,7 @@ mod tests {
     fn defaults() {
         let o = parse(&[]).unwrap();
         assert_eq!(o.config.cases_per_class, 2000);
-        assert!(o.topologies.is_empty());
+        assert_eq!(o.topologies, isp::TABLE2);
         assert!(o.json.is_none());
     }
 
@@ -166,7 +197,8 @@ mod tests {
         .unwrap();
         assert_eq!(o.config.cases_per_class, 42);
         assert_eq!(o.config.seed, 7);
-        assert_eq!(o.topologies, vec!["AS209", "AS701"]);
+        let names: Vec<&str> = o.topologies.iter().map(|p| p.name).collect();
+        assert_eq!(names, ["AS209", "AS701"]);
         assert_eq!(o.json.as_deref(), Some("/tmp/x.json"));
         assert_eq!(o.trace.as_deref(), Some("/tmp/x.jsonl"));
         assert_eq!(o.config.threads, 4);
@@ -203,6 +235,14 @@ mod tests {
         assert!(parse(&["--help"]).is_err());
         assert!(parse(&["--threads"]).is_err());
         assert!(parse(&["--threads", "-2"]).is_err());
+    }
+
+    #[test]
+    fn unknown_topology_is_a_usage_error() {
+        let err = parse(&["--topos", "AS209,ASnope"]).unwrap_err();
+        assert_eq!(err, UnknownTopology("ASnope".to_string()).to_string());
+        assert!(err.contains("ASnope") && err.contains("AS1239"), "{err}");
+        assert!(parse(&["--topos", "ASnope"]).is_err());
     }
 
     #[test]

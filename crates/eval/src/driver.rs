@@ -21,12 +21,11 @@ use crate::par;
 use crate::schemes::{
     build_comparators, eval_irrecoverable_in, eval_recoverable_in, IrrecoverableRow, RecoverableRow,
 };
-use crate::testcase::{generate_workload_shared, ScenarioCases, TestCase, Workload};
+use crate::testcase::{generate_workload_shared, sessions, ScenarioCases, Workload};
 use rtr_baselines::{MrcError, RecoveryScheme, SchemeId, SchemeMask};
 use rtr_core::SessionPool;
 use rtr_sim::SimTime;
-use rtr_topology::{isp, NodeId};
-use std::collections::BTreeMap;
+use rtr_topology::isp;
 use std::fmt;
 
 /// Number of sample points of the Fig. 10 time grid (0..=1 s).
@@ -73,16 +72,6 @@ impl TopologyResults {
     }
 }
 
-/// Groups a scenario's cases by initiator, preserving deterministic order.
-/// Shared with the `--trace` replay so both walk sessions identically.
-pub(crate) fn by_initiator(cases: &[TestCase]) -> BTreeMap<NodeId, Vec<&TestCase>> {
-    let mut map: BTreeMap<NodeId, Vec<&TestCase>> = BTreeMap::new();
-    for c in cases {
-        map.entry(c.initiator).or_default().push(c);
-    }
-    map
-}
-
 /// Partial results of one scenario: the rows in case order plus the
 /// Fig. 10 *sums* (normalisation happens once, after the ordered fold).
 #[derive(Debug)]
@@ -116,13 +105,13 @@ fn run_scenario(
     // Recoverable cases: one RTR session and one ground-truth SPT per
     // initiator (phase 1 runs once per initiator, §III-A). The pool guards
     // return every buffer at the end of each initiator's block.
-    for (initiator, cases) in by_initiator(&sc.recoverable) {
+    for (initiator, failed_link, cases) in sessions(&sc.recoverable) {
         let session = pool.start_session(
             w.topo(),
             w.crosslinks(),
             &sc.scenario,
             initiator,
-            cases[0].failed_link,
+            failed_link,
         );
         let mut session =
             session.expect("recoverable case: live initiator with a failed incident link");
@@ -157,13 +146,13 @@ fn run_scenario(
     }
 
     // Irrecoverable cases.
-    for (initiator, cases) in by_initiator(&sc.irrecoverable) {
+    for (initiator, failed_link, cases) in sessions(&sc.irrecoverable) {
         let session = pool.start_session(
             w.topo(),
             w.crosslinks(),
             &sc.scenario,
             initiator,
-            cases[0].failed_link,
+            failed_link,
         );
         let mut session =
             session.expect("irrecoverable case: live initiator with a failed incident link");
@@ -282,22 +271,6 @@ pub fn run_profile(
     run_workload(&w, cfg)
 }
 
-/// A requested topology name that is not one of the Table II twins.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownTopology(pub String);
-
-impl fmt::Display for UnknownTopology {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown topology {:?} (expected one of", self.0)?;
-        for (i, p) in isp::TABLE2.iter().enumerate() {
-            write!(f, "{} {}", if i == 0 { "" } else { "," }, p.name)?;
-        }
-        write!(f, ")")
-    }
-}
-
-impl std::error::Error for UnknownTopology {}
-
 /// The MRC baseline could not be built for a topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MrcUnavailable {
@@ -323,73 +296,24 @@ impl std::error::Error for MrcUnavailable {
     }
 }
 
-/// Any error the experiment driver can surface.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EvalError {
-    /// A requested topology name is not in Table II.
-    UnknownTopology(UnknownTopology),
-    /// The MRC baseline could not be built.
-    Mrc(MrcUnavailable),
-}
-
-impl fmt::Display for EvalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EvalError::UnknownTopology(e) => e.fmt(f),
-            EvalError::Mrc(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for EvalError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EvalError::UnknownTopology(e) => Some(e),
-            EvalError::Mrc(e) => Some(e),
-        }
-    }
-}
-
-impl From<UnknownTopology> for EvalError {
-    fn from(e: UnknownTopology) -> Self {
-        EvalError::UnknownTopology(e)
-    }
-}
-
-impl From<MrcUnavailable> for EvalError {
-    fn from(e: MrcUnavailable) -> Self {
-        EvalError::Mrc(e)
-    }
-}
-
-/// Runs every topology in `names` (all eight Table II twins when empty),
-/// fanning whole topologies out across the thread budget; any leftover
-/// budget parallelises scenarios inside each topology.
+/// Runs every topology in `profiles`, fanning whole topologies out
+/// across the thread budget; any leftover budget parallelises scenarios
+/// inside each topology.
 ///
 /// # Errors
 ///
-/// Returns [`EvalError::UnknownTopology`] when a name is not in Table II
-/// (nothing runs in that case), and [`EvalError::Mrc`] when a topology's
-/// MRC baseline cannot be built.
+/// Returns [`MrcUnavailable`] when a topology's MRC baseline cannot be
+/// built.
 pub fn run_topologies(
-    names: &[String],
+    profiles: &[isp::IspProfile],
     cfg: &ExperimentConfig,
-) -> Result<Vec<TopologyResults>, EvalError> {
-    let profiles: Vec<isp::IspProfile> = if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).ok_or_else(|| UnknownTopology(n.clone())))
-            .collect::<Result<_, _>>()?
-    };
-
+) -> Result<Vec<TopologyResults>, MrcUnavailable> {
     // Split the budget: outer workers take whole topologies, and each
     // passes its share of the remainder down to `run_workload`.
     let threads = par::resolve_threads(cfg.threads);
     let outer = threads.min(profiles.len()).max(1);
     let inner_cfg = cfg.clone().with_threads((threads / outer).max(1));
-    par::map_indexed(outer, &profiles, |_, p| {
+    par::map_indexed(outer, profiles, |_, p| {
         crate::writer::notice(format!(
             "running {} ({} nodes, {} links)...",
             p.name, p.nodes, p.links
@@ -397,8 +321,7 @@ pub fn run_topologies(
         run_profile(*p, &inner_cfg)
     })
     .into_iter()
-    .collect::<Result<Vec<_>, MrcUnavailable>>()
-    .map_err(EvalError::from)
+    .collect()
 }
 
 #[cfg(test)]
@@ -552,8 +475,8 @@ mod tests {
     #[test]
     fn kernel_choice_never_changes_results() {
         // The whole point of the Kernels API: heap vs bucket queue and
-        // scalar vs batched (vs AVX2) crossing masks are pure throughput
-        // knobs. Any combination must serialize the exact same results.
+        // scalar vs batched crossing masks are pure throughput knobs. Any
+        // combination must serialize the exact same results.
         use rtr_core::SweepKernel;
         use rtr_routing::{Kernels, QueueKernel};
         let topo = generate::isp_like(30, 70, 2000.0, 8).unwrap();
@@ -570,8 +493,6 @@ mod tests {
             (QueueKernel::Heap, SweepKernel::Batched),
             (QueueKernel::Bucket, SweepKernel::Scalar),
             (QueueKernel::Bucket, SweepKernel::Batched),
-            #[cfg(feature = "simd")]
-            (QueueKernel::Bucket, SweepKernel::Simd),
         ];
         for (queue, sweep) in combos {
             let cfg = cfg
@@ -581,18 +502,6 @@ mod tests {
             let got = format!("{:?}", run_workload(&w, &cfg));
             assert_eq!(reference, got, "diverged at {queue:?}/{sweep:?}");
         }
-    }
-
-    #[test]
-    fn unknown_topology_is_a_typed_error() {
-        let cfg = ExperimentConfig::quick().with_cases(1);
-        let err = run_topologies(&["ASnope".to_string()], &cfg).unwrap_err();
-        assert_eq!(
-            err,
-            EvalError::UnknownTopology(UnknownTopology("ASnope".to_string()))
-        );
-        let msg = err.to_string();
-        assert!(msg.contains("ASnope") && msg.contains("AS1239"), "{msg}");
     }
 
     #[test]

@@ -107,22 +107,13 @@ pub fn sweep_topology(base: &Baseline, cfg: &ExperimentConfig, seed: u64) -> Vec
     points
 }
 
-/// Builds the full Fig. 11 report over the given topology names (all eight
-/// Table II twins when empty).
-pub fn fig11(names: &[String], cfg: &ExperimentConfig) -> FigureReport {
-    let profiles: Vec<isp::IspProfile> = if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).unwrap_or_else(|| panic!("unknown topology {n}")))
-            .collect()
-    };
+/// Builds the full Fig. 11 report over the given topologies.
+pub fn fig11(profiles: &[isp::IspProfile], cfg: &ExperimentConfig) -> FigureReport {
     let series = profiles
-        .into_iter()
+        .iter()
         .map(|p| {
             eprintln!("[rtr-eval] fig11 sweep on {}...", p.name);
-            let base = Baseline::for_profile(&p);
+            let base = Baseline::for_profile(p);
             Series {
                 label: p.name.to_string(),
                 points: sweep_topology(&base, cfg, cfg.seed ^ 0xF11 ^ u64::from(p.asn)),

@@ -33,11 +33,12 @@
 //!
 //! ```
 //! use rtr_eval::{config::ExperimentConfig, driver, reports};
+//! use rtr_topology::isp;
 //!
-//! // A quick single-topology run (500 cases per class), serial.
+//! // A quick single-topology run (50 cases per class), serial.
 //! let cfg = ExperimentConfig::quick().with_cases(50).with_threads(1);
-//! let results = driver::run_topologies(&["AS1239".to_string()], &cfg)
-//!     .expect("AS1239 is a Table II topology");
+//! let as1239 = isp::profile("AS1239").expect("AS1239 is a Table II topology");
+//! let results = driver::run_topologies(&[as1239], &cfg).expect("AS1239 builds MRC");
 //! let table3 = reports::table3(&results);
 //! assert!(table3.to_string().contains("AS1239"));
 //! ```
@@ -70,5 +71,6 @@ pub mod trace;
 pub mod viz;
 pub mod writer;
 
+pub use cli::UnknownTopology;
 pub use config::ExperimentConfig;
-pub use driver::{run_topologies, TopologyResults, UnknownTopology};
+pub use driver::{run_topologies, TopologyResults};

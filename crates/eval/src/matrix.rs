@@ -75,25 +75,18 @@ struct CellAcc {
     stretch_count: usize,
 }
 
-/// Runs the matrix over the given topologies (all eight Table II twins
-/// when empty).
+/// Runs the matrix over the given topologies.
 ///
 /// # Errors
 ///
-/// Propagates [`MrcUnavailable`] from the driver; unknown topology names
-/// panic (matching the other extension experiments).
-pub fn matrix(names: &[String], cfg: &ExperimentConfig) -> Result<MatrixReport, MrcUnavailable> {
-    let profiles: Vec<isp::IspProfile> = if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).unwrap_or_else(|| panic!("unknown topology {n}")))
-            .collect()
-    };
+/// Propagates [`MrcUnavailable`] from the driver.
+pub fn matrix(
+    profiles: &[isp::IspProfile],
+    cfg: &ExperimentConfig,
+) -> Result<MatrixReport, MrcUnavailable> {
     let mut acc = vec![[CellAcc::default(); SchemeId::COUNT]; ScenarioClass::ALL.len()];
     let mut case_counts = vec![0usize; ScenarioClass::ALL.len()];
-    for p in &profiles {
+    for p in profiles {
         let baseline = crate::baseline::Baseline::for_profile(p);
         for (ci, class) in ScenarioClass::ALL.into_iter().enumerate() {
             crate::writer::notice(format!("matrix: {} × {}...", p.name, class.name()));
@@ -236,7 +229,7 @@ mod tests {
 
     fn quick_matrix() -> MatrixReport {
         let cfg = ExperimentConfig::quick().with_cases(60);
-        matrix(&["AS209".to_string()], &cfg).expect("AS209 supports MRC")
+        matrix(&[isp::profile("AS209").unwrap()], &cfg).expect("AS209 supports MRC")
     }
 
     #[test]

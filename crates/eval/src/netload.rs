@@ -9,7 +9,7 @@
 use crate::baseline::Baseline;
 use crate::config::ExperimentConfig;
 use crate::reports::{FigureReport, Series};
-use crate::testcase::{cases_for_scenario, random_region};
+use crate::testcase::{cases_for_scenario, random_region, sessions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtr_core::RtrSession;
@@ -42,20 +42,11 @@ pub fn disaster_load(
     // One session per initiator: its phase-1 walk plus the first recovered
     // packet toward each destination it serves.
     let mut flows = Vec::new();
-    let mut by_initiator: std::collections::BTreeMap<_, Vec<_>> = Default::default();
-    for c in &cases.recoverable {
-        by_initiator.entry(c.initiator).or_default().push(c);
-    }
     let delay = DelayModel::PAPER;
-    for (initiator, group) in by_initiator {
-        let mut session = RtrSession::start(
-            topo,
-            crosslinks,
-            &cases.scenario,
-            initiator,
-            group[0].failed_link,
-        )
-        .expect("recoverable case: live initiator with a failed incident link");
+    for (initiator, failed_link, group) in sessions(&cases.recoverable) {
+        let mut session =
+            RtrSession::start(topo, crosslinks, &cases.scenario, initiator, failed_link)
+                .expect("recoverable case: live initiator with a failed incident link");
         let p1_end = delay.for_hops(session.phase1().trace.hops());
         flows.push(TimedTrace {
             trace: session.phase1().trace.clone(),
@@ -88,17 +79,9 @@ pub fn disaster_load(
 }
 
 /// Builds the concurrent-recovery load figure over the given topologies.
-pub fn netload(names: &[String], cfg: &ExperimentConfig) -> FigureReport {
-    let profiles: Vec<isp::IspProfile> = if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).unwrap_or_else(|| panic!("unknown topology {n}")))
-            .collect()
-    };
+pub fn netload(profiles: &[isp::IspProfile], cfg: &ExperimentConfig) -> FigureReport {
     let mut series = Vec::new();
-    for p in profiles {
+    for &p in profiles {
         eprintln!("[rtr-eval] disaster load on {}...", p.name);
         let (s, hottest) = disaster_load(p, cfg, cfg.seed ^ 0x10AD ^ u64::from(p.asn));
         eprintln!(
@@ -147,7 +130,7 @@ mod tests {
     #[test]
     fn report_renders() {
         let cfg = ExperimentConfig::quick();
-        let fig = netload(&["AS1239".to_string()], &cfg);
+        let fig = netload(&[isp::profile("AS1239").unwrap()], &cfg);
         assert_eq!(fig.series.len(), 1);
         assert!(fig.to_string().contains("AS1239"));
     }

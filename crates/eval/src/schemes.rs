@@ -362,7 +362,7 @@ pub fn eval_irrecoverable(
 mod tests {
     use super::*;
     use crate::config::ExperimentConfig;
-    use crate::testcase::generate_workload;
+    use crate::testcase::{generate_workload, sessions};
     use rtr_routing::dijkstra::dijkstra;
     use rtr_topology::generate;
 
@@ -423,13 +423,7 @@ mod tests {
         let comparators = build_comparators(w.topo(), cfg.schemes, 5).unwrap();
         let mut rows = Vec::new();
         for sc in &w.scenarios {
-            let mut by_initiator: std::collections::BTreeMap<_, Vec<&crate::testcase::TestCase>> =
-                Default::default();
-            for c in &sc.recoverable {
-                by_initiator.entry(c.initiator).or_default().push(c);
-            }
-            for (initiator, cases) in by_initiator {
-                let failed = cases[0].failed_link;
+            for (initiator, failed, cases) in sessions(&sc.recoverable) {
                 let mut session =
                     RtrSession::start(w.topo(), w.crosslinks(), &sc.scenario, initiator, failed)
                         .expect("recoverable case: live initiator with a failed incident link");
@@ -502,13 +496,7 @@ mod tests {
         let comparators = build_comparators(w.topo(), cfg.schemes, 5).unwrap();
         let mut rows = Vec::new();
         for sc in &w.scenarios {
-            let mut by_initiator: std::collections::BTreeMap<_, Vec<&crate::testcase::TestCase>> =
-                Default::default();
-            for c in &sc.irrecoverable {
-                by_initiator.entry(c.initiator).or_default().push(c);
-            }
-            for (initiator, cases) in by_initiator {
-                let failed = cases[0].failed_link;
+            for (initiator, failed, cases) in sessions(&sc.irrecoverable) {
                 let mut session =
                     RtrSession::start(w.topo(), w.crosslinks(), &sc.scenario, initiator, failed)
                         .expect("recoverable case: live initiator with a failed incident link");

@@ -10,7 +10,7 @@ use crate::config::ExperimentConfig;
 use crate::metrics::percentage;
 use crate::reports::{FigureReport, Series};
 use crate::schemes::build_comparators;
-use crate::testcase::generate_workload_shared;
+use crate::testcase::{generate_workload_shared, sessions};
 use rtr_baselines::{SchemeId, SchemeMask};
 use rtr_core::{RtrSession, SchemeScratch};
 use rtr_topology::isp;
@@ -58,17 +58,13 @@ pub fn sweep_radius(
         let mut cases = 0usize;
         let (mut rtr_ok, mut fcp_ok, mut mrc_ok) = (0usize, 0usize, 0usize);
         for sc in &w.scenarios {
-            let mut by_initiator: std::collections::BTreeMap<_, Vec<_>> = Default::default();
-            for c in &sc.recoverable {
-                by_initiator.entry(c.initiator).or_default().push(c);
-            }
-            for (initiator, group) in by_initiator {
+            for (initiator, failed_link, group) in sessions(&sc.recoverable) {
                 let mut session = RtrSession::start(
                     w.topo(),
                     w.crosslinks(),
                     &sc.scenario,
                     initiator,
-                    group[0].failed_link,
+                    failed_link,
                 )
                 .expect("recoverable case: live initiator with a failed incident link");
                 for case in group {
@@ -107,18 +103,10 @@ pub fn sweep_radius(
 }
 
 /// Builds the radius-sensitivity figure over the given topologies.
-pub fn sensitivity(names: &[String], cfg: &ExperimentConfig) -> FigureReport {
-    let profiles: Vec<isp::IspProfile> = if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).unwrap_or_else(|| panic!("unknown topology {n}")))
-            .collect()
-    };
+pub fn sensitivity(profiles: &[isp::IspProfile], cfg: &ExperimentConfig) -> FigureReport {
     let radii: Vec<f64> = (1..=8).map(|i| i as f64 * 50.0).collect();
     let mut series = Vec::new();
-    for p in profiles {
+    for &p in profiles {
         eprintln!("[rtr-eval] radius sensitivity on {}...", p.name);
         let pts = sweep_radius(p, &radii, cfg);
         for (label, get) in [
@@ -166,7 +154,7 @@ mod tests {
     #[test]
     fn report_renders() {
         let cfg = ExperimentConfig::quick().with_cases(25);
-        let fig = sensitivity(&["AS1239".to_string()], &cfg);
+        let fig = sensitivity(&[isp::profile("AS1239").unwrap()], &cfg);
         assert_eq!(fig.series.len(), 3);
         assert!(fig.to_string().contains("RTR (AS1239)"));
     }

@@ -11,7 +11,7 @@ use crate::baseline::Baseline;
 use crate::config::ExperimentConfig;
 use crate::metrics::percentage;
 use crate::reports::TableReport;
-use crate::testcase::cases_for_scenario;
+use crate::testcase::{cases_for_scenario, sessions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtr_core::RtrSession;
@@ -111,22 +111,13 @@ pub fn evaluate_shape(
         let region = shape.region(cx, cy, r);
         let scenario = FailureScenario::from_region(topo, &region);
         let sc = cases_for_scenario(base, region, scenario);
-        let mut by_initiator: std::collections::BTreeMap<_, Vec<_>> = Default::default();
-        for c in &sc.recoverable {
-            by_initiator.entry(c.initiator).or_default().push(c);
-        }
-        for (initiator, group) in by_initiator {
+        for (initiator, failed_link, group) in sessions(&sc.recoverable) {
             if cases >= cfg.cases_per_class {
                 break;
             }
-            let mut session = RtrSession::start(
-                topo,
-                crosslinks,
-                &sc.scenario,
-                initiator,
-                group[0].failed_link,
-            )
-            .expect("recoverable case: live initiator with a failed incident link");
+            let mut session =
+                RtrSession::start(topo, crosslinks, &sc.scenario, initiator, failed_link)
+                    .expect("recoverable case: live initiator with a failed incident link");
             walk_hops.push(session.phase1().trace.hops() as f64);
             for case in group {
                 if cases >= cfg.cases_per_class {
@@ -156,19 +147,11 @@ pub fn evaluate_shape(
 }
 
 /// Builds the shape-comparison table over the given topologies.
-pub fn shapes(names: &[String], cfg: &ExperimentConfig) -> TableReport {
-    let profiles: Vec<isp::IspProfile> = if names.is_empty() {
-        isp::TABLE2.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).unwrap_or_else(|| panic!("unknown topology {n}")))
-            .collect()
-    };
+pub fn shapes(profiles: &[isp::IspProfile], cfg: &ExperimentConfig) -> TableReport {
     let mut rows = Vec::new();
     for p in profiles {
         eprintln!("[rtr-eval] shape comparison on {}...", p.name);
-        let base = Baseline::for_profile(&p);
+        let base = Baseline::for_profile(p);
         let mut row = vec![p.name.to_string()];
         for shape in Shape::ALL {
             let s = evaluate_shape(&base, shape, cfg, cfg.seed ^ u64::from(p.asn) ^ 0x5AFE);
@@ -249,7 +232,7 @@ mod tests {
     #[test]
     fn report_renders() {
         let cfg = ExperimentConfig::quick().with_cases(30);
-        let t = shapes(&["AS1239".to_string()], &cfg);
+        let t = shapes(&[isp::profile("AS1239").unwrap()], &cfg);
         assert_eq!(t.rows.len(), 1);
         assert!(t.to_string().contains("rect4:1"));
     }

@@ -29,6 +29,12 @@ pub struct TestCase {
 }
 
 /// All test cases produced by one failure area.
+///
+/// Both case lists are sorted by initiator, so each initiator's cases
+/// form one contiguous run: [`cases_for_scenario`], the only
+/// constructor, walks initiators in ascending order, and the workload
+/// generators only truncate its output to a prefix. [`sessions`] relies
+/// on this invariant.
 #[derive(Debug, Clone)]
 pub struct ScenarioCases {
     /// The failure region that was applied.
@@ -85,6 +91,21 @@ impl Workload {
     pub fn irrecoverable_count(&self) -> usize {
         self.scenarios.iter().map(|s| s.irrecoverable.len()).sum()
     }
+}
+
+/// The recovery sessions of one case class: one
+/// `(initiator, failed_link, cases)` per initiator, in ascending initiator
+/// order, with the initiator's cases in list order. `failed_link` is the
+/// first case's link, which starts the session's phase-1 sweep.
+///
+/// This is the one session layout every consumer (driver, trace replay,
+/// extensions, serving mix) walks. It borrows runs of `cases` without
+/// allocating, relying on the [`ScenarioCases`] ordering invariant.
+pub fn sessions(cases: &[TestCase]) -> impl Iterator<Item = (NodeId, LinkId, &[TestCase])> {
+    debug_assert!(cases.is_sorted_by_key(|c| c.initiator));
+    cases
+        .chunk_by(|a, b| a.initiator == b.initiator)
+        .filter_map(|group| group.first().map(|c| (c.initiator, c.failed_link, group)))
 }
 
 /// Connected-component labels of the live subgraph (failed nodes get the
@@ -573,6 +594,68 @@ mod tests {
         for (sa, sb) in a.scenarios.iter().zip(&b.scenarios) {
             assert_eq!(sa.recoverable, sb.recoverable);
             assert_eq!(sa.irrecoverable, sb.irrecoverable);
+        }
+    }
+
+    #[test]
+    fn sessions_match_a_btreemap_regroup() {
+        // Reference: the per-initiator BTreeMap regroup every consumer
+        // used to build. `sessions` must yield the same groups in the same
+        // order, case for case, each started on its first case's link.
+        use std::collections::BTreeMap;
+        fn regroup(cases: &[TestCase]) -> BTreeMap<NodeId, Vec<&TestCase>> {
+            let mut map: BTreeMap<NodeId, Vec<&TestCase>> = BTreeMap::new();
+            for c in cases {
+                map.entry(c.initiator).or_default().push(c);
+            }
+            map
+        }
+        let check = |w: &Workload| {
+            let mut groups = 0;
+            for sc in &w.scenarios {
+                for class in [&sc.recoverable, &sc.irrecoverable] {
+                    let got: Vec<_> = sessions(class)
+                        .map(|(u, l, cases)| (u, l, cases.iter().collect::<Vec<_>>()))
+                        .collect();
+                    let want: Vec<_> = regroup(class)
+                        .into_iter()
+                        .map(|(u, cases)| (u, cases[0].failed_link, cases))
+                        .collect();
+                    assert_eq!(got, want, "{}", w.name);
+                    groups += got.len();
+                }
+            }
+            assert!(groups > 0, "{} produced no sessions", w.name);
+        };
+        let cfg = quick_cfg();
+        let topos = [
+            ("isp_like", generate::isp_like(40, 90, 2000.0, 5).unwrap()),
+            (
+                "waxman",
+                generate::waxman(60, 120, 2000.0, 0.15, 0.6, 3).unwrap(),
+            ),
+            (
+                "barabasi_albert",
+                generate::barabasi_albert(60, 2, 2000.0, 3).unwrap(),
+            ),
+            (
+                "hierarchical_isp",
+                generate::hierarchical_isp(6, 8, 2000.0, 3).unwrap(),
+            ),
+            ("grid", generate::grid(7, 7, 300.0)),
+        ];
+        for (name, topo) in topos {
+            let base = Arc::new(Baseline::new(topo));
+            check(&generate_workload_shared(name, Arc::clone(&base), &cfg, 7));
+            for class in ScenarioClass::ALL {
+                check(&generate_class_workload(
+                    format!("{name}/{}", class.name()),
+                    Arc::clone(&base),
+                    &cfg,
+                    7,
+                    class,
+                ));
+            }
         }
     }
 

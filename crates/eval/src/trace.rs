@@ -5,24 +5,23 @@
 //! when `--trace <path>` is given, this module *replays* the RTR side of
 //! every scenario with a live sink — same workload, same kernels, same
 //! deterministic seeds — aggregating one [`MetricsRegistry`] per scenario
-//! and writing it as one JSONL line. The replay mirrors the driver's
-//! session layout exactly (one session per initiator group, the group's
-//! first failed link starting the session), so the event-derived numbers
-//! equal the driver's metrics; the golden-trace test pins that equality.
+//! and writing it as one JSONL line. The replay walks the same
+//! [`testcase::sessions`](crate::testcase::sessions) layout as the driver,
+//! so the event-derived numbers equal the driver's metrics; the
+//! golden-trace test pins that equality.
 
 use crate::baseline::Baseline;
 use crate::config::ExperimentConfig;
-use crate::driver::{by_initiator, UnknownTopology};
 use crate::json::{Json, ToJson};
-use crate::testcase::{generate_workload_shared, ScenarioCases, Workload};
+use crate::testcase::{generate_workload_shared, sessions, ScenarioCases, Workload};
 use crate::writer;
 use rtr_core::{RecoveryScratch, RtrSession};
 use rtr_obs::{CollectingSink, Event, Histogram, MetricsRegistry, Phase, TraceSink};
 use rtr_topology::{isp, NodeId};
 use std::time::Instant;
 
-/// Replays every recovery session of one scenario (both case classes,
-/// grouped by initiator like the driver) into `sink`, reporting each
+/// Replays every recovery session of one scenario (both case classes, in
+/// the [`sessions`] layout the driver walks) into `sink`, reporting each
 /// session's `(hops, header_bytes, sp_calculations, phase1, phase2)`
 /// through `per_session`.
 fn replay_scenario_into<S: TraceSink>(
@@ -34,17 +33,16 @@ fn replay_scenario_into<S: TraceSink>(
 ) {
     let mut scratch = RecoveryScratch::with_kernels(cfg.kernels, cfg.sweep);
     for class in [&sc.recoverable, &sc.irrecoverable] {
-        for (initiator, cases) in by_initiator(class) {
+        for (initiator, failed_link, cases) in sessions(class) {
             let phase1_start = Instant::now();
-            // The driver's layout: one session per initiator, started from
-            // the group's first failed link; infeasible starts are skipped
-            // (they cannot occur for harvested cases).
+            // Infeasible starts are skipped (they cannot occur for
+            // harvested cases).
             let Ok(mut session) = RtrSession::start_traced_in(
                 w.topo(),
                 w.crosslinks(),
                 &sc.scenario,
                 initiator,
-                cases[0].failed_link,
+                failed_link,
                 &mut scratch,
                 sink,
             ) else {
@@ -52,7 +50,7 @@ fn replay_scenario_into<S: TraceSink>(
             };
             let phase1_micros = phase1_start.elapsed().as_micros() as u64;
             let phase2_start = Instant::now();
-            for case in &cases {
+            for case in cases {
                 let _ = session.recover_traced(case.dest, sink);
             }
             let phase2_micros = phase2_start.elapsed().as_micros() as u64;
@@ -203,34 +201,22 @@ impl ToJson for MetricsRegistry {
     }
 }
 
-/// Resolves topology names the same way the driver does (all of Table II
-/// when empty).
-fn profiles_for(names: &[String]) -> Result<Vec<isp::IspProfile>, UnknownTopology> {
-    if names.is_empty() {
-        Ok(isp::TABLE2.to_vec())
-    } else {
-        names
-            .iter()
-            .map(|n| isp::profile(n).ok_or_else(|| UnknownTopology(n.clone())))
-            .collect()
-    }
-}
-
-/// Regenerates the named workloads (deterministically, from the shared
-/// per-topology baselines) and replays every scenario into a
+/// Regenerates the workloads of `profiles` (deterministically, from the
+/// shared per-topology baselines) and replays every scenario into a
 /// per-scenario [`MetricsRegistry`], written to `path` as one JSONL line
 /// per scenario.
 ///
 /// # Errors
 ///
-/// A human-readable message for an unknown topology name or an I/O
-/// failure writing `path`.
-pub fn write_trace(names: &[String], cfg: &ExperimentConfig, path: &str) -> Result<(), String> {
-    let profiles = profiles_for(names).map_err(|e| e.to_string())?;
+/// A human-readable message for an I/O failure writing `path`.
+pub fn write_trace(
+    profiles: &[isp::IspProfile],
+    cfg: &ExperimentConfig,
+    path: &str,
+) -> Result<(), String> {
     let mut lines = String::new();
-    for p in profiles {
-        let baseline = Baseline::for_profile(&p);
-        let w = generate_workload_shared(p.name, baseline, cfg, cfg.seed ^ u64::from(p.asn));
+    for &p in profiles {
+        let w = workload_for(p, cfg);
         for (i, sc) in w.scenarios.iter().enumerate() {
             let reg = scenario_registry(&w, sc, cfg);
             let line = Json::Obj(vec![
@@ -259,21 +245,15 @@ pub fn first_recoverable_scenario(w: &Workload) -> Option<(usize, &ScenarioCases
         .find(|(_, sc)| !sc.recoverable.is_empty())
 }
 
-/// Regenerates the workload for one topology name exactly as the driver
-/// would.
-///
-/// # Errors
-///
-/// [`UnknownTopology`] for a name outside Table II.
-pub fn workload_for(name: &str, cfg: &ExperimentConfig) -> Result<Workload, UnknownTopology> {
-    let p = isp::profile(name).ok_or_else(|| UnknownTopology(name.to_string()))?;
-    let baseline = Baseline::for_profile(&p);
-    Ok(generate_workload_shared(
+/// Regenerates the workload for one Table II profile exactly as the
+/// driver would.
+pub fn workload_for(p: isp::IspProfile, cfg: &ExperimentConfig) -> Workload {
+    generate_workload_shared(
         p.name,
-        baseline,
+        Baseline::for_profile(&p),
         cfg,
         cfg.seed ^ u64::from(p.asn),
-    ))
+    )
 }
 
 #[cfg(test)]
@@ -349,14 +329,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.jsonl");
         let path = path.to_str().unwrap();
-        write_trace(&["AS209".to_string()], &cfg, path).unwrap();
+        let as209 = isp::profile("AS209").unwrap();
+        write_trace(&[as209], &cfg, path).unwrap();
         let contents = std::fs::read_to_string(path).unwrap();
-        let w = workload_for("AS209", &cfg).unwrap();
+        let w = workload_for(as209, &cfg);
         assert_eq!(contents.lines().count(), w.scenarios.len());
         for line in contents.lines() {
             assert!(line.starts_with("{\"topology\":\"AS209\""));
             assert!(line.contains("\"sweep_hops\""));
         }
-        assert!(write_trace(&["ASnope".to_string()], &cfg, path).is_err());
     }
 }

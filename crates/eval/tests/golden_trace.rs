@@ -3,36 +3,26 @@
 //! driver-side `rtr-eval` metrics — phase-1 hops, #SP calculations,
 //! header bytes, and per-case stretch.
 //!
-//! The driver side below is built exactly like `driver::run_scenario`
-//! (one pooled session per initiator group, started from the group's
-//! first failed link), and the replay side comes from
-//! `rtr_eval::trace::replay_scenario`. Floats are compared via
-//! `f64::to_bits` — bit equality, not epsilon.
+//! The driver side below is built like `driver::run_scenario` (one
+//! pooled session per `rtr_eval::testcase::sessions` entry), and the
+//! replay side comes from `rtr_eval::trace::replay_scenario`. Floats are
+//! compared via `f64::to_bits` — bit equality, not epsilon.
 
 use rtr_core::SessionPool;
 use rtr_eval::config::ExperimentConfig;
 use rtr_eval::schemes::{build_comparators, eval_recoverable_in, RecoverableRow};
-use rtr_eval::testcase::TestCase;
+use rtr_eval::testcase::{sessions, TestCase};
 use rtr_eval::trace::{first_recoverable_scenario, replay_scenario, workload_for, SessionReplay};
 use rtr_obs::{DiscardReason, Event};
 use rtr_sim::LINK_ID_BYTES;
-use rtr_topology::NodeId;
-use std::collections::BTreeMap;
-
-fn by_initiator(cases: &[TestCase]) -> BTreeMap<NodeId, Vec<&TestCase>> {
-    let mut map: BTreeMap<NodeId, Vec<&TestCase>> = BTreeMap::new();
-    for c in cases {
-        map.entry(c.initiator).or_default().push(c);
-    }
-    map
-}
+use rtr_topology::{isp, NodeId};
 
 /// Asserts one replayed session's event stream against the driver rows of
 /// the same initiator group, plus the optimal distances for stretch.
 fn assert_session_matches(
     replay: &SessionReplay,
     rows: &[RecoverableRow],
-    cases: &[&TestCase],
+    cases: &[TestCase],
     optimal: &rtr_routing::ShortestPaths,
 ) {
     // Event-derived phase-1 hops == the driver's phase1_hops on every row.
@@ -76,7 +66,7 @@ fn assert_session_matches(
             Event::SweepHop { header_bytes, .. } => Some(*header_bytes),
             _ => None,
         })
-        .last();
+        .next_back();
     assert_eq!(last_hop_bytes, Some(replay.stats.header_bytes));
 
     // Per-case stretch: every `recover` call emits exactly one of a
@@ -121,7 +111,10 @@ fn assert_session_matches(
 #[test]
 fn replayed_events_byte_equal_driver_metrics() {
     let cfg = ExperimentConfig::quick().with_cases(40).with_threads(1);
-    let w = workload_for("AS209", &cfg).expect("AS209 is a Table II twin");
+    let w = workload_for(
+        isp::profile("AS209").expect("AS209 is a Table II twin"),
+        &cfg,
+    );
     let (_, sc) = first_recoverable_scenario(&w).expect("40 cases hit a recoverable scenario");
 
     // Replay side: collecting-sink event streams, one per session.
@@ -134,17 +127,16 @@ fn replayed_events_byte_equal_driver_metrics() {
     let pool = SessionPool::with_kernels(cfg.kernels, cfg.sweep);
     let ctx = w.scheme_ctx();
 
-    let groups = by_initiator(&sc.recoverable);
     let mut replay_it = replays.iter();
     let mut compared_cases = 0usize;
-    for (initiator, cases) in groups {
+    for (initiator, failed_link, cases) in sessions(&sc.recoverable) {
         let mut session = pool
             .start_session(
                 w.topo(),
                 w.crosslinks(),
                 &sc.scenario,
                 initiator,
-                cases[0].failed_link,
+                failed_link,
             )
             .expect("recoverable case: live initiator");
         let mut optimal_lease = pool.dijkstra();
@@ -168,7 +160,7 @@ fn replayed_events_byte_equal_driver_metrics() {
 
         let replay = replay_it.next().expect("one replay per initiator group");
         assert_eq!(replay.stats.initiator, initiator);
-        assert_session_matches(replay, &rows, &cases, optimal);
+        assert_session_matches(replay, &rows, cases, optimal);
         compared_cases += rows.len();
     }
     assert!(compared_cases > 0, "scenario contributed no comparisons");

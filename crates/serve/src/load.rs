@@ -8,11 +8,11 @@
 //! to measure sustained recoveries/sec at the service's capacity.
 //!
 //! The request mix is deterministic: [`build_mix`] derives it from the
-//! same seeded workload generator the `rtr-eval` driver uses and groups
-//! cases per (scenario, class, initiator) exactly like the driver's
-//! session layout — one request per RTR session, the session's failed
-//! default link taken from its first case. That shared layout is what
-//! lets `tests/serve_matches_driver.rs` demand byte-identical results.
+//! same seeded workload generator the `rtr-eval` driver uses and emits
+//! one request per recovery session of
+//! [`rtr_eval::testcase::sessions`] — the driver's own layout. That
+//! shared layout is what lets `tests/serve_matches_driver.rs` demand
+//! byte-identical results.
 //!
 //! The generator itself is single-threaded: it submits on schedule and
 //! drains completions with non-blocking polls, so all service threads
@@ -25,9 +25,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtr_eval::baseline::Baseline;
 use rtr_eval::config::ExperimentConfig;
-use rtr_eval::testcase::{generate_workload_shared, TestCase};
+use rtr_eval::testcase::{generate_workload_shared, sessions, TestCase};
 use rtr_obs::Histogram;
-use rtr_topology::NodeId;
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::TcpStream;
@@ -172,28 +171,23 @@ impl std::fmt::Display for LoadReport {
     }
 }
 
-/// Groups one case class by initiator in the driver's deterministic
-/// order and emits one request per group — the driver's exact session
-/// layout (one [`RtrSession`](rtr_core::RtrSession) per initiator per
-/// class, started on the group's first failed link).
+/// Emits one request per recovery session of one case class, in the
+/// driver's layout ([`sessions`]: one
+/// [`RtrSession`](rtr_core::RtrSession) per initiator per class, started
+/// on the initiator's first failed link).
 fn requests_for_class(
     out: &mut Vec<RecoverRequest>,
     topo_index: u16,
     spec: RegionSpec,
     cases: &[TestCase],
 ) {
-    let mut by_initiator: BTreeMap<NodeId, Vec<&TestCase>> = BTreeMap::new();
-    for c in cases {
-        by_initiator.entry(c.initiator).or_default().push(c);
-    }
-    for (initiator, group) in by_initiator {
-        let Some(first) = group.first() else { continue };
+    for (initiator, failed_link, group) in sessions(cases) {
         out.push(RecoverRequest {
             id: out.len() as u64 + 1,
             topo: topo_index,
             region: spec,
             initiator: initiator.0,
-            failed_link: first.failed_link.0,
+            failed_link: failed_link.0,
             scheme: 0,
             dests: group.iter().map(|c| c.dest.0).collect(),
         });
@@ -490,7 +484,7 @@ pub fn run_load(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtr_topology::generate;
+    use rtr_topology::{generate, NodeId};
 
     fn grid_baseline() -> Arc<Baseline> {
         Arc::new(Baseline::new(generate::grid(5, 5, 400.0)))

@@ -4,24 +4,18 @@
 //! slices share a set bit?" ([`LinkBitSet::intersects_words`]
 //! [`crate::LinkBitSet::intersects_words`]). PR 3 made that a scalar
 //! word-at-a-time AND loop; this module pushes it below word level with
-//! three interchangeable kernels selected by [`MaskKernel`]:
+//! two interchangeable kernels selected by [`MaskKernel`]:
 //!
 //! * [`MaskKernel::Scalar`] — one word per iteration, the PR 3 baseline;
 //! * [`MaskKernel::Batched`] — 4×u64 unrolled chunks whose per-chunk
 //!   OR-of-ANDs reduction has no cross-iteration dependency, so the
 //!   optimizer can keep four lanes in flight (and auto-vectorize) on
-//!   stable Rust with no `unsafe`;
-//! * [`MaskKernel::Simd`] (behind the `simd` cargo feature, x86-64 only) —
-//!   explicit AVX2 256-bit lanes via `std::arch`, with a one-time runtime
-//!   CPUID check falling back to the batched kernel on older CPUs.
+//!   stable Rust with no `unsafe`.
 //!
-//! All three are semantically identical; proptests in this module pin
-//! scalar ≡ batched (≡ AVX2 when compiled in) on slices straddling every
-//! lane boundary. `std::arch` intrinsics are confined to this file by a
-//! `cargo xtask analyze` rule, mirroring the thread-discipline rule that
-//! confines `thread::spawn` to the eval executor.
+//! Both are semantically identical; tests in this module pin
+//! scalar ≡ batched on slices straddling every lane boundary.
 
-/// Words per batched lane: one AVX2 register holds 4×u64.
+/// Words per batched lane: one 256-bit vector register holds 4×u64.
 const LANE_WORDS: usize = 4;
 
 /// Strategy for the word-AND intersection probe over two `u64` slices.
@@ -36,10 +30,6 @@ pub enum MaskKernel {
     /// Portable 4×u64 unrolled chunks; auto-vectorizable, no `unsafe`.
     #[default]
     Batched,
-    /// Explicit AVX2 via `std::arch`, falling back to
-    /// [`Batched`](Self::Batched) when the CPU lacks AVX2.
-    #[cfg(feature = "simd")]
-    Simd,
 }
 
 /// Returns true when `a` and `b` share a set bit within their common
@@ -51,8 +41,6 @@ pub fn intersect_any(kernel: MaskKernel, a: &[u64], b: &[u64]) -> bool {
     match kernel {
         MaskKernel::Scalar => intersect_any_scalar(a, b),
         MaskKernel::Batched => intersect_any_batched(a, b),
-        #[cfg(feature = "simd")]
-        MaskKernel::Simd => intersect_any_simd(a, b),
     }
 }
 
@@ -86,79 +74,13 @@ pub fn intersect_any_batched(a: &[u64], b: &[u64]) -> bool {
     intersect_any_scalar(ca.remainder(), cb.remainder())
 }
 
-/// AVX2 kernel with runtime dispatch: uses 256-bit `VPAND`/`VPTEST` lanes
-/// when the CPU supports AVX2, the batched kernel otherwise. Only compiled
-/// under the `simd` cargo feature.
-#[cfg(feature = "simd")]
-#[inline]
-pub fn intersect_any_simd(a: &[u64], b: &[u64]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return avx2::intersect_any(a, b);
-        }
-    }
-    intersect_any_batched(a, b)
-}
-
-/// The `std::arch` intrinsics live in this one module; the surrounding
-/// crate keeps `unsafe_code` denied (and forbidden without the feature).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod avx2 {
-    use super::LANE_WORDS;
-    use std::arch::x86_64::{__m256i, _mm256_and_si256, _mm256_loadu_si256, _mm256_testz_si256};
-
-    /// Safe entry point: the caller has already verified AVX2 support via
-    /// `is_x86_feature_detected!`, and this asserts it defensively.
-    pub(super) fn intersect_any(a: &[u64], b: &[u64]) -> bool {
-        debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
-        // SAFETY: AVX2 support was verified by the dispatcher (and the
-        // debug assertion above) before this call.
-        unsafe { intersect_any_avx2(a, b) }
-    }
-
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support (e.g. via
-    /// `is_x86_feature_detected!("avx2")`).
-    #[target_feature(enable = "avx2")]
-    unsafe fn intersect_any_avx2(a: &[u64], b: &[u64]) -> bool {
-        let n = a.len().min(b.len());
-        let mut i = 0;
-        while i + LANE_WORDS <= n {
-            // SAFETY: `i + LANE_WORDS <= n <= a.len(), b.len()`, so both
-            // 32-byte loads stay in bounds; `loadu` has no alignment
-            // requirement.
-            let hit = unsafe {
-                let va = _mm256_loadu_si256(a.as_ptr().add(i).cast::<__m256i>());
-                let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast::<__m256i>());
-                let and = _mm256_and_si256(va, vb);
-                _mm256_testz_si256(and, and) == 0
-            };
-            if hit {
-                return true;
-            }
-            i += LANE_WORDS;
-        }
-        a.get(i..n)
-            .zip(b.get(i..n))
-            .is_some_and(|(ta, tb)| super::intersect_any_scalar(ta, tb))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Every kernel compiled into this build, for exhaustive comparison.
+    /// Every kernel, for exhaustive comparison.
     fn all_kernels() -> Vec<MaskKernel> {
-        vec![
-            MaskKernel::Scalar,
-            MaskKernel::Batched,
-            #[cfg(feature = "simd")]
-            MaskKernel::Simd,
-        ]
+        vec![MaskKernel::Scalar, MaskKernel::Batched]
     }
 
     #[test]
@@ -189,7 +111,7 @@ mod tests {
         assert_eq!(MaskKernel::default(), MaskKernel::Batched);
     }
 
-    /// SIMD vs scalar on every length straddling the 4-word lane boundary
+    /// Batched vs scalar on every length straddling the 4-word lane boundary
     /// (satellite requirement: 0, 1, 3, 4, 5 words), with the hit placed at
     /// each word position in turn.
     #[test]

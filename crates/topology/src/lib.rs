@@ -43,10 +43,7 @@
 //! ```
 
 #![deny(missing_docs)]
-// `unsafe` is forbidden everywhere except the AVX2 intrinsics confined to
-// `kernels.rs`, which opt in locally when the `simd` feature is enabled.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 
 pub mod bitset;
 pub mod crosslinks;

@@ -509,9 +509,7 @@ pub fn check_speedups(file: &BenchFile) -> Result<Vec<String>, String> {
 }
 
 /// Runs the `bench_eval` recorder and leaves `BENCH_eval.json` at the
-/// workspace root. Records with `--features simd` so the committed
-/// artifact carries the full kernel matrix (`sweep_secs_simd` included;
-/// the kernel falls back to the batched path on non-AVX2 recorders).
+/// workspace root.
 ///
 /// # Errors
 ///
@@ -519,16 +517,7 @@ pub fn check_speedups(file: &BenchFile) -> Result<Vec<String>, String> {
 pub fn run_bench_record(root: &Path) -> Result<(), String> {
     let out = root.join("BENCH_eval.json");
     let status = std::process::Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "rtr-bench",
-            "--features",
-            "simd",
-            "--bin",
-            "bench_eval",
-        ])
+        .args(["run", "--release", "-p", "rtr-bench", "--bin", "bench_eval"])
         .arg("--")
         .arg(&out)
         .current_dir(root)

@@ -101,7 +101,6 @@ pub fn run_analyze() -> Result<AnalyzeReport, String> {
         rules::invariants::check_header_discipline(&file, &mut violations);
         rules::invariants::check_float_eq(&file, &mut violations);
         rules::confinement::check_thread_discipline(&file, &mut violations);
-        rules::confinement::check_simd_discipline(&file, &mut violations);
         rules::membership::check(&file, &mut violations);
         rules::unsafe_audit::check(&file, &mut violations);
         rules::alloc::check(&file, &mut violations, &mut steady_seen);

@@ -87,7 +87,7 @@ fn main() -> ExitCode {
                  (got {:?})\n\n\
                  analyze       Runs the workspace static-analysis pass: panic-freedom,\n\
                  \x20             print/determinism discipline in the hot-path crates,\n\
-                 \x20             paper-invariant lints, theorem coverage, thread/SIMD\n\
+                 \x20             paper-invariant lints, theorem coverage, thread\n\
                  \x20             discipline, link-set membership, unsafe-audit, and\n\
                  \x20             allocation discipline in steady-state functions.\n\
                  \x20             --json emits a machine-readable report, --github adds\n\

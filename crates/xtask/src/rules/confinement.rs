@@ -1,6 +1,5 @@
-//! Confinement rules: threads are created only in the fork-join executor
-//! and the service worker runtime, and CPU intrinsics are named only in
-//! the crossing-mask kernel module.
+//! Confinement rule: threads are created only in the fork-join executor
+//! and the service worker runtime.
 
 use crate::engine::{SourceFile, Violation};
 
@@ -10,10 +9,6 @@ pub const THREAD_EXECUTOR: &str = "crates/eval/src/par.rs";
 /// The serving-side file allowed to create threads: `rtr-serve`'s worker
 /// runtime, where `serve()` scopes its worker and acceptor threads.
 pub const SERVE_RUNTIME: &str = "crates/serve/src/service.rs";
-
-/// The one file allowed to name CPU intrinsics: the crossing-mask kernel
-/// module, whose safe `MaskKernel` dispatch wraps the AVX2 path.
-pub const SIMD_KERNEL_MODULE: &str = "crates/topology/src/kernels.rs";
 
 /// Thread discipline: `thread::spawn` / `thread::scope` only inside the
 /// executor module and the service runtime. Everything else must go
@@ -33,27 +28,6 @@ pub fn check_thread_discipline(file: &SourceFile, out: &mut Vec<Violation>) {
             && matches!(file.ct(p + 2), "spawn" | "scope")
         {
             out.push(file.violation("thread-discipline", p));
-        }
-    }
-}
-
-/// SIMD discipline: `std::arch` / `core::arch` tokens only inside the
-/// kernel module. Every intrinsic (and the `unsafe` it drags along) stays
-/// behind one safe, feature-detected dispatch point, so the rest of the
-/// workspace remains portable stable Rust.
-pub fn check_simd_discipline(file: &SourceFile, out: &mut Vec<Violation>) {
-    if file.rel == SIMD_KERNEL_MODULE {
-        return;
-    }
-    for p in 0..file.len() {
-        if file.cin_test(p) {
-            continue;
-        }
-        if matches!(file.ct(p), "std" | "core")
-            && file.ct(p + 1) == "::"
-            && file.ct(p + 2) == "arch"
-        {
-            out.push(file.violation("simd-discipline", p));
         }
     }
 }
@@ -92,29 +66,6 @@ mod tests {
         // Other serve modules stay confined.
         check_thread_discipline(&file("crates/serve/src/load.rs", src), &mut out);
         assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn simd_discipline_flags_intrinsics_outside_the_kernel_module() {
-        let src = "fn f() {\n  use std::arch::x86_64::_mm256_and_si256;\n  \
-                   let _ = core::arch::x86_64::_mm_and_si128;\n}\n";
-        let mut out = Vec::new();
-        check_simd_discipline(&file("crates/core/src/x.rs", src), &mut out);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|v| v.rule == "simd-discipline"));
-    }
-
-    #[test]
-    fn simd_discipline_exempts_the_kernel_module_and_comments() {
-        let src = "fn f() { let _ = std::arch::is_x86_feature_detected!(\"avx2\"); }";
-        let mut out = Vec::new();
-        check_simd_discipline(&file("crates/topology/src/kernels.rs", src), &mut out);
-        assert!(out.is_empty(), "false positives: {out:?}");
-
-        // Doc comments naming `std::arch` are comment tokens, never code.
-        let doc = "//! Kernels use `std::arch` elsewhere.\nfn f() {}\n";
-        check_simd_discipline(&file("crates/core/src/x.rs", doc), &mut out);
-        assert!(out.is_empty(), "comment text flagged: {out:?}");
     }
 
     #[test]

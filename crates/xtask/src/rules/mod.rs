@@ -95,12 +95,6 @@ pub const RULES: &[RuleInfo] = &[
         rationale: "threads are born in the fork-join executor or the service worker runtime, keeping each determinism argument local to one module",
     },
     RuleInfo {
-        name: "simd-discipline",
-        family: "confinement",
-        scope: "everywhere except crates/topology/src/kernels.rs",
-        rationale: "`std::arch`/`core::arch` intrinsics stay behind the one safe, feature-detected `MaskKernel` dispatch",
-    },
-    RuleInfo {
         name: "linkset-membership",
         family: "membership",
         scope: "crates/core, non-test",

@@ -222,8 +222,8 @@ fn irrecoverable_traffic_is_cut_off_quickly() {
 #[test]
 fn harness_end_to_end_tiny_scale() {
     let cfg = rtr::eval::ExperimentConfig::quick().with_cases(80);
-    let results = rtr::eval::run_topologies(&["AS209".to_string()], &cfg)
-        .expect("AS209 is a Table II topology");
+    let as209 = isp::profile("AS209").expect("AS209 is a Table II topology");
+    let results = rtr::eval::run_topologies(&[as209], &cfg).expect("AS209 builds MRC");
     assert_eq!(results.len(), 1);
     let h = rtr::eval::reports::headline(&results);
     assert!(h.rtr_optimal_recovery_rate > 80.0);
