@@ -167,9 +167,9 @@ impl RecoveryScheme for Emrc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mrc::mrc_recover;
+    use crate::mrc::mrc_recover_in;
     use rtr_core::SchemeScratch;
-    use rtr_routing::RoutingTable;
+    use rtr_routing::{DijkstraScratch, RoutingTable};
     use rtr_topology::{generate, CrossLinkTable, FailureScenario, FullView, Region};
 
     fn ctx_parts(topo: &Topology) -> (CrossLinkTable, RoutingTable) {
@@ -211,7 +211,8 @@ mod tests {
             let s = FailureScenario::single_link(&topo, l);
             let (a, b) = topo.link(l).endpoints();
             for (init, dest) in [(a, b), (b, a)] {
-                let reference = mrc_recover(&topo, &mrc, &s, init, l, dest);
+                let reference =
+                    mrc_recover_in(&topo, &mrc, &s, init, l, dest, &mut DijkstraScratch::new());
                 let got = emrc.route_in(ctx, &s, init, l, dest, &mut scratch);
                 assert_eq!(got.is_delivered(), reference.is_delivered(), "link {l:?}");
                 assert_eq!(got.cost_traversed, reference.cost_traversed, "link {l:?}");
@@ -234,7 +235,15 @@ mod tests {
                     if !rtr_topology::is_reachable(&topo, &s, nbr, dest) {
                         continue;
                     }
-                    let reference = mrc_recover(&topo, &mrc, &s, nbr, failed, dest);
+                    let reference = mrc_recover_in(
+                        &topo,
+                        &mrc,
+                        &s,
+                        nbr,
+                        failed,
+                        dest,
+                        &mut DijkstraScratch::new(),
+                    );
                     let got = emrc.route_in(ctx, &s, nbr, failed, dest, &mut scratch);
                     assert_eq!(
                         got.is_delivered(),
@@ -287,7 +296,8 @@ mod tests {
                         continue;
                     }
                     attempts += 1;
-                    let m = mrc_recover(&topo, &mrc, &s, n, l, dest);
+                    let m =
+                        mrc_recover_in(&topo, &mrc, &s, n, l, dest, &mut DijkstraScratch::new());
                     let e = emrc.route_in(ctx, &s, n, l, dest, &mut scratch);
                     if m.is_delivered() {
                         mrc_delivered += 1;

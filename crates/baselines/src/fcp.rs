@@ -97,39 +97,16 @@ fn believed_view_into(
 /// truth `view`. `initial_failed_link` is the unreachable default next-hop
 /// link that triggered recovery (it seeds the carried failure set).
 ///
-/// *Deprecated-documented*: new code should route through the
+/// Reuses the caller's [`FcpScratch`], so the per-encounter recomputation
+/// allocates nothing after warm-up (beyond the recomputed source-route
+/// path itself). Uniform callers route through the
 /// [`RecoveryScheme`](crate::RecoveryScheme) trait via [`crate::Fcp`]
-/// (pooled scratch, scheme selection as data); this free function remains
-/// as a thin convenience wrapper.
+/// instead.
 ///
 /// # Panics
 ///
 /// Panics if `initial_failed_link` is not incident to `initiator` or is
 /// still usable in `view`.
-pub fn fcp_route(
-    topo: &Topology,
-    view: &impl GraphView,
-    initiator: NodeId,
-    initial_failed_link: LinkId,
-    dest: NodeId,
-) -> FcpAttempt {
-    fcp_route_in(
-        topo,
-        view,
-        initiator,
-        initial_failed_link,
-        dest,
-        &mut FcpScratch::default(),
-    )
-}
-
-/// Like [`fcp_route`], but reuses the caller's [`FcpScratch`] so the
-/// per-encounter recomputation allocates nothing after warm-up (beyond the
-/// recomputed source-route path itself).
-///
-/// # Panics
-///
-/// Same contract as [`fcp_route`].
 pub fn fcp_route_in(
     topo: &Topology,
     view: &impl GraphView,
@@ -255,7 +232,7 @@ mod tests {
         b.add_link(v2, v3, 1).unwrap();
         let topo = b.build().unwrap();
         let s = FailureScenario::single_link(&topo, short);
-        let a = fcp_route(&topo, &s, v0, short, v3);
+        let a = fcp_route_in(&topo, &s, v0, short, v3, &mut FcpScratch::default());
         assert!(a.is_delivered());
         assert_eq!(a.sp_calculations, 1);
         assert_eq!(a.hops(), 2);
@@ -284,7 +261,7 @@ mod tests {
         b.add_link(v5, v3, 1).unwrap();
         let topo = b.build().unwrap();
         let s = FailureScenario::from_parts(&topo, [], [l12, l23]);
-        let a = fcp_route(&topo, &s, v1, l12, v3);
+        let a = fcp_route_in(&topo, &s, v1, l12, v3, &mut FcpScratch::default());
         assert!(a.is_delivered());
         assert_eq!(a.sp_calculations, 2);
         assert_eq!(a.hops(), 4); // 1-4-2-5-3
@@ -297,7 +274,14 @@ mod tests {
         let topo = generate::path(4, 10.0).unwrap();
         let s = FailureScenario::from_parts(&topo, [NodeId(2)], []);
         let l = topo.link_between(NodeId(1), NodeId(2)).unwrap();
-        let a = fcp_route(&topo, &s, NodeId(1), l, NodeId(3));
+        let a = fcp_route_in(
+            &topo,
+            &s,
+            NodeId(1),
+            l,
+            NodeId(3),
+            &mut FcpScratch::default(),
+        );
         assert_eq!(a.outcome, FcpOutcome::Discarded);
         assert_eq!(a.sp_calculations, 1);
         assert_eq!(a.hops(), 0);
@@ -324,7 +308,7 @@ mod tests {
                     if dest == n || rtr_topology::is_reachable(&topo, &s, n, dest) {
                         continue;
                     }
-                    let a = fcp_route(&topo, &s, n, l, dest);
+                    let a = fcp_route_in(&topo, &s, n, l, dest, &mut FcpScratch::default());
                     assert_eq!(a.outcome, FcpOutcome::Discarded);
                     assert!(a.sp_calculations >= 1);
                     found = true;
@@ -349,6 +333,13 @@ mod tests {
         let topo = generate::path(3, 10.0).unwrap();
         let s = FailureScenario::none(&topo);
         let l = topo.link_between(NodeId(0), NodeId(1)).unwrap();
-        let _ = fcp_route(&topo, &s, NodeId(0), l, NodeId(2));
+        let _ = fcp_route_in(
+            &topo,
+            &s,
+            NodeId(0),
+            l,
+            NodeId(2),
+            &mut FcpScratch::default(),
+        );
     }
 }

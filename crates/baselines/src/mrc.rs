@@ -344,37 +344,6 @@ impl MrcAttempt {
     }
 }
 
-/// Recovers one packet at `initiator` whose default next hop over
-/// `failed_link` is unreachable, destined to `dest`, over ground truth
-/// `view`.
-///
-/// Per the MRC switching rule: if the unreachable next hop *is* the
-/// destination, switch to the configuration isolating the link; otherwise
-/// switch to the configuration isolating the next-hop node.
-///
-/// *Deprecated-documented*: new code should route through the
-/// [`RecoveryScheme`](crate::RecoveryScheme) trait (implemented by
-/// [`Mrc`] itself); this free function remains as a thin convenience
-/// wrapper.
-pub fn mrc_recover(
-    topo: &Topology,
-    mrc: &Mrc,
-    view: &impl GraphView,
-    initiator: NodeId,
-    failed_link: LinkId,
-    dest: NodeId,
-) -> MrcAttempt {
-    mrc_recover_in(
-        topo,
-        mrc,
-        view,
-        initiator,
-        failed_link,
-        dest,
-        &mut DijkstraScratch::new(),
-    )
-}
-
 /// The MRC switching rule at `at` observing dead `trigger` toward `dest`:
 /// the configuration isolating the link when the lost next hop *is* the
 /// destination, else the one isolating the next-hop node. Shared with
@@ -394,8 +363,15 @@ pub(crate) fn switching_config(
     }
 }
 
-/// Like [`mrc_recover`], but reuses the caller's Dijkstra buffers across
-/// cases.
+/// Recovers one packet at `initiator` whose default next hop over
+/// `failed_link` is unreachable, destined to `dest`, over ground truth
+/// `view`, reusing the caller's Dijkstra buffers across cases.
+///
+/// Per the MRC switching rule: if the unreachable next hop *is* the
+/// destination, switch to the configuration isolating the link; otherwise
+/// switch to the configuration isolating the next-hop node. Uniform callers
+/// route through the [`RecoveryScheme`](crate::RecoveryScheme) trait
+/// (implemented by [`Mrc`] itself) instead.
 pub fn mrc_recover_in(
     topo: &Topology,
     mrc: &Mrc,
@@ -554,7 +530,15 @@ mod tests {
             if !rtr_topology::is_reachable(&topo, &s, initiator, dest) {
                 continue;
             }
-            let a = mrc_recover(&topo, &mrc, &s, initiator, failed_link, dest);
+            let a = mrc_recover_in(
+                &topo,
+                &mrc,
+                &s,
+                initiator,
+                failed_link,
+                dest,
+                &mut DijkstraScratch::new(),
+            );
             assert!(
                 a.is_delivered(),
                 "single node failure must recover to {dest} (config {:?})",
@@ -582,7 +566,8 @@ mod tests {
                     if dest == n {
                         continue;
                     }
-                    let a = mrc_recover(&topo, &mrc, &s, n, l, dest);
+                    let a =
+                        mrc_recover_in(&topo, &mrc, &s, n, l, dest, &mut DijkstraScratch::new());
                     attempts += 1;
                     if !a.is_delivered() {
                         failures += 1;
@@ -609,7 +594,7 @@ mod tests {
             .unwrap();
         let (a, b) = topo.link(l).endpoints();
         let s = FailureScenario::single_link(&topo, l);
-        let attempt = mrc_recover(&topo, &mrc, &s, a, l, b);
+        let attempt = mrc_recover_in(&topo, &mrc, &s, a, l, b, &mut DijkstraScratch::new());
         assert_eq!(attempt.config_used, mrc.link_configuration(l));
         assert!(
             attempt.is_delivered(),

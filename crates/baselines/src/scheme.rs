@@ -212,7 +212,7 @@ impl SchemeAttempt {
 ///
 /// `failed_link` must be incident to `initiator` and unusable in `view`
 /// (it is the observed default next-hop failure that triggered recovery —
-/// the same precondition as [`fcp_route_in`] and RTR's phase 1).
+/// the same precondition as [`fcp_route_in`](crate::fcp_route_in) and RTR's phase 1).
 /// Implementations may panic on violations; the serving layer validates
 /// requests before dispatching.
 ///
@@ -263,7 +263,7 @@ pub trait RecoveryScheme: std::fmt::Debug + Send + Sync {
 }
 
 /// FCP as a [`RecoveryScheme`]: per-encounter recomputation over the
-/// believed topology, exactly [`fcp_route_in`].
+/// believed topology, exactly [`fcp_route_in`](crate::fcp_route_in).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fcp;
 
@@ -536,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn mrc_scheme_matches_mrc_recover() {
+    fn mrc_scheme_matches_mrc_recover_in() {
         let topo = generate::isp_like(25, 60, 2000.0, 7).unwrap();
         let crosslinks = CrossLinkTable::new(&topo);
         let table = RoutingTable::compute(&topo, &FullView);
@@ -554,7 +554,15 @@ mod tests {
         let s = FailureScenario::single_link(&topo, l);
         let mut scratch = SchemeScratch::new();
         let got = mrc.route_in(ctx, &s, a, l, b, &mut scratch);
-        let reference = crate::mrc::mrc_recover(&topo, &mrc, &s, a, l, b);
+        let reference = crate::mrc::mrc_recover_in(
+            &topo,
+            &mrc,
+            &s,
+            a,
+            l,
+            b,
+            &mut rtr_routing::DijkstraScratch::new(),
+        );
         assert_eq!(got.is_delivered(), reference.is_delivered());
         assert_eq!(got.cost_traversed, reference.cost_traversed);
         assert_eq!(got.sp_calculations, 0);

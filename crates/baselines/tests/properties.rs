@@ -3,11 +3,11 @@
 
 use proptest::prelude::*;
 use rtr_baselines::{
-    fcp_route, mrc::validate, mrc_recover, Emrc, Fcp, FcpOutcome, Fep, Mrc, RecoveryScheme, Rtr,
-    SchemeCtx,
+    fcp_route_in, mrc::validate, mrc_recover_in, Emrc, Fcp, FcpOutcome, FcpScratch, Fep, Mrc,
+    RecoveryScheme, Rtr, SchemeCtx,
 };
 use rtr_core::SchemeScratch;
-use rtr_routing::{shortest_path, RoutingTable};
+use rtr_routing::{shortest_path, DijkstraScratch, RoutingTable};
 use rtr_topology::{
     generate, is_reachable, CrossLinkTable, FailureScenario, FullView, GraphView, LinkId, NodeId,
     Region, Topology,
@@ -47,7 +47,7 @@ proptest! {
                 if dest == initiator {
                     continue;
                 }
-                let attempt = fcp_route(&topo, &s, initiator, failed, dest);
+                let attempt = fcp_route_in(&topo, &s, initiator, failed, dest, &mut FcpScratch::default());
                 prop_assert_eq!(
                     attempt.is_delivered(),
                     is_reachable(&topo, &s, initiator, dest),
@@ -75,7 +75,7 @@ proptest! {
                 if dest == initiator {
                     continue;
                 }
-                let attempt = fcp_route(&topo, &s, initiator, failed, dest);
+                let attempt = fcp_route_in(&topo, &s, initiator, failed, dest, &mut FcpScratch::default());
                 for l in &attempt.carried_failures {
                     prop_assert!(!s.is_link_usable(&topo, l));
                 }
@@ -119,7 +119,7 @@ proptest! {
             if dest == a || dest == b {
                 continue;
             }
-            let attempt = mrc_recover(&topo, &mrc, &s, a, failed_link, dest);
+            let attempt = mrc_recover_in(&topo, &mrc, &s, a, failed_link, dest, &mut DijkstraScratch::new());
             if attempt.is_delivered() {
                 let p = attempt.path.as_ref().unwrap();
                 prop_assert!(!p.nodes().contains(&b), "backup path visits the dead node");
@@ -153,7 +153,7 @@ proptest! {
                 if dest == nbr || dest == victim || !is_reachable(&topo, &s, nbr, dest) {
                     continue;
                 }
-                let attempt = mrc_recover(&topo, &mrc, &s, nbr, failed_link, dest);
+                let attempt = mrc_recover_in(&topo, &mrc, &s, nbr, failed_link, dest, &mut DijkstraScratch::new());
                 cases += 1;
                 if attempt.is_delivered() {
                     delivered += 1;

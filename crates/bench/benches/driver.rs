@@ -2,6 +2,10 @@
 //! loop on one worker versus the scenario-parallel path. At one worker
 //! `run_workload` is exactly the pre-executor serial driver, so the pair
 //! tracks both the kernel optimisations and the fork-join overhead.
+//!
+//! Both benches time the warm driver: the workload's `Baseline` builds
+//! its comparator backends on the first call (criterion's warm-up) and
+//! every timed iteration reuses them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtr_eval::testcase::generate_workload;

@@ -15,6 +15,13 @@
 //! the repository root. Timings are medians of [`RUNS`] runs; the file
 //! also records the host's available parallelism so speedups on small
 //! machines read honestly.
+//!
+//! Every `run_workload` call on a topology shares that topology's
+//! `Baseline`, and the first call fills its comparator memo (MRC/eMRC
+//! configurations, FEP detours). So the `serial_secs*` and
+//! `parallel_secs` columns time the warm driver: only the first of the
+//! [`RUNS`] `serial_secs_heap` runs pays for the build, and the median
+//! drops that run.
 
 use rtr_core::{RtrSession, SessionPool, SweepKernel};
 use rtr_eval::baseline::Baseline;

@@ -13,14 +13,25 @@
 //! buckets: a destination's default path from `u` starts over exactly one
 //! incident link of `u`, so the destinations affected by a failure are
 //! precisely the union of the unusable incident links' buckets.
+//!
+//! The comparator backends (MRC/eMRC configurations, FEP detours) are a
+//! pure function of the topology too, but costly and not every consumer
+//! needs them, so they are built lazily: [`Baseline::comparators`] builds
+//! each backend on first request and hands out the same `Arc` after that.
 
+use crate::schemes::build_comparators;
+use rtr_baselines::{MrcError, RecoveryScheme, SchemeId, SchemeMask};
 use rtr_routing::{Kernels, RoutingTable};
 use rtr_topology::{isp, CrossLinkTable, FullView, NodeId, Topology};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// A built comparator backend, or why its precomputation failed.
+type Built = Result<Arc<dyn RecoveryScheme>, MrcError>;
 
 /// Immutable per-topology baseline: topology, pre-failure routing table,
-/// crossing table, and the first-hop destination index.
+/// crossing table, and the first-hop destination index, plus the
+/// comparator backends built on first request.
 ///
 /// Cheap to share: experiments hold it behind an [`Arc`] and the parallel
 /// executor's workers borrow it read-only.
@@ -36,6 +47,10 @@ pub struct Baseline {
     /// `buckets[slot_base[u] + k]` = destinations whose default first hop
     /// from `u` is `topo.neighbors(u)[k]`'s link, ascending by id.
     buckets: Vec<Vec<NodeId>>,
+    /// Comparator backends keyed by `(scheme, MRC configuration count)`,
+    /// filled by [`comparators`](Self::comparators). Failed builds are
+    /// kept too, so a topology MRC cannot cover never retries.
+    comparators: Mutex<BTreeMap<(SchemeId, usize), Built>>,
 }
 
 impl Baseline {
@@ -141,6 +156,7 @@ impl Baseline {
             crosslinks,
             slot_base,
             buckets,
+            comparators: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -180,6 +196,82 @@ impl Baseline {
             .map_or(&[], Vec::as_slice)
     }
 
+    /// The comparator backends selected by `mask` with `k` MRC
+    /// configurations, in [`SchemeId`] order (RTR is excluded — it runs
+    /// natively). Each backend is built by [`build_comparators`] on its
+    /// first request and shared after that; one `Mrc::build` serves both
+    /// MRC and eMRC. The lock is held across a build, so concurrent first
+    /// callers build once.
+    ///
+    /// # Errors
+    ///
+    /// The [`MrcError`] of `Mrc::build` when the mask holds MRC or eMRC
+    /// and the topology cannot be covered. The error is memoized too.
+    pub fn comparators(
+        &self,
+        mask: SchemeMask,
+        k: usize,
+    ) -> Result<Vec<Arc<dyn RecoveryScheme>>, MrcError> {
+        let mut memo = self.memo();
+        mask.without(SchemeId::Rtr)
+            .iter()
+            .map(|id| self.comparator_in(&mut memo, id, k))
+            .collect()
+    }
+
+    /// The single backend of [`comparators`](Self::comparators) for `id`,
+    /// or `Ok(None)` for RTR.
+    ///
+    /// # Errors
+    ///
+    /// As for [`comparators`](Self::comparators).
+    pub fn comparator(
+        &self,
+        id: SchemeId,
+        k: usize,
+    ) -> Result<Option<Arc<dyn RecoveryScheme>>, MrcError> {
+        if id == SchemeId::Rtr {
+            return Ok(None);
+        }
+        self.comparator_in(&mut self.memo(), id, k).map(Some)
+    }
+
+    fn memo(&self) -> MutexGuard<'_, BTreeMap<(SchemeId, usize), Built>> {
+        self.comparators
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Looks `(id, k)` up in the locked memo, building it on a miss. `id`
+    /// is never RTR.
+    fn comparator_in(
+        &self,
+        memo: &mut BTreeMap<(SchemeId, usize), Built>,
+        id: SchemeId,
+        k: usize,
+    ) -> Built {
+        if !memo.contains_key(&(id, k)) {
+            // MRC and eMRC share one configuration build.
+            let family = match id {
+                SchemeId::Mrc | SchemeId::Emrc => {
+                    SchemeMask::none().with(SchemeId::Mrc).with(SchemeId::Emrc)
+                }
+                _ => SchemeMask::none().with(id),
+            };
+            match build_comparators(&self.topo, family, k) {
+                Ok(backends) => {
+                    memo.extend(
+                        backends
+                            .into_iter()
+                            .map(|b| ((b.id(), k), Ok(Arc::from(b)))),
+                    );
+                }
+                Err(e) => memo.extend(family.iter().map(|m| ((m, k), Err(e.clone())))),
+            }
+        }
+        memo[&(id, k)].clone()
+    }
+
     /// The shared baseline of a Table II twin, computed on first request
     /// and cached per process.
     ///
@@ -188,9 +280,7 @@ impl Baseline {
     pub fn for_profile(profile: &isp::IspProfile) -> Arc<Baseline> {
         static CACHE: OnceLock<Mutex<HashMap<u32, Arc<Baseline>>>> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut map = cache.lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(
             map.entry(profile.asn)
                 .or_insert_with(|| Arc::new(Baseline::new(profile.synthesize()))),
@@ -265,5 +355,95 @@ mod tests {
         let base = Baseline::new(topo);
         assert!(base.dests_via(NodeId(0), 99).is_empty());
         assert!(base.dests_via(NodeId(99), 0).is_empty());
+    }
+
+    fn split_topology() -> Topology {
+        let mut b = Topology::builder();
+        b.add_node(rtr_topology::Point::new(0.0, 0.0));
+        b.add_node(rtr_topology::Point::new(1.0, 0.0));
+        b.build().unwrap()
+    }
+
+    fn ids(backends: &[Arc<dyn RecoveryScheme>]) -> Vec<SchemeId> {
+        backends.iter().map(|b| b.id()).collect()
+    }
+
+    #[test]
+    fn comparators_are_built_once_per_k() {
+        let base = Baseline::new(generate::isp_like(25, 60, 2000.0, 7).unwrap());
+        let first = base.comparators(SchemeMask::ALL, 5).unwrap();
+        assert_eq!(
+            ids(&first),
+            vec![SchemeId::Fcp, SchemeId::Mrc, SchemeId::Emrc, SchemeId::Fep]
+        );
+        let again = base.comparators(SchemeMask::ALL, 5).unwrap();
+        for (a, b) in first.iter().zip(&again) {
+            assert!(Arc::ptr_eq(a, b), "{} rebuilt", a.name());
+        }
+        // A narrower mask and the single accessor hand out the same Arcs.
+        let fep = SchemeMask::none().with(SchemeId::Fep);
+        assert!(Arc::ptr_eq(
+            &base.comparators(fep, 5).unwrap()[0],
+            &first[3]
+        ));
+        let mrc = base.comparator(SchemeId::Mrc, 5).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&mrc, &first[1]));
+        assert!(base.comparator(SchemeId::Rtr, 5).unwrap().is_none());
+        // Another configuration count is its own entry.
+        let k4 = base.comparator(SchemeId::Mrc, 4).unwrap().unwrap();
+        assert!(!Arc::ptr_eq(&k4, &first[1]));
+        let k4_again = base.comparator(SchemeId::Mrc, 4).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&k4, &k4_again));
+    }
+
+    #[test]
+    fn comparators_match_the_uncached_builder() {
+        let topo = generate::isp_like(25, 60, 2000.0, 7).unwrap();
+        let base = Baseline::new(topo.clone());
+        for mask in [
+            SchemeMask::ALL,
+            SchemeMask::none().with(SchemeId::Emrc),
+            SchemeMask::none().with(SchemeId::Rtr).with(SchemeId::Fcp),
+        ] {
+            let cached = base.comparators(mask, 5).unwrap();
+            let fresh = build_comparators(&topo, mask, 5).unwrap();
+            let cached: Vec<String> = cached.iter().map(|b| format!("{b:?}")).collect();
+            let fresh: Vec<String> = fresh.iter().map(|b| format!("{b:?}")).collect();
+            assert_eq!(cached, fresh);
+        }
+    }
+
+    #[test]
+    fn failed_mrc_build_is_memoized() {
+        let base = Baseline::new(split_topology());
+        for _ in 0..2 {
+            assert_eq!(
+                base.comparators(SchemeMask::ALL, 5).unwrap_err(),
+                MrcError::Disconnected
+            );
+            assert_eq!(
+                base.comparator(SchemeId::Emrc, 5).unwrap_err(),
+                MrcError::Disconnected
+            );
+        }
+        // Schemes that need no MRC configurations still build.
+        let fcp = base.comparator(SchemeId::Fcp, 5).unwrap().unwrap();
+        assert_eq!(fcp.id(), SchemeId::Fcp);
+    }
+
+    #[test]
+    fn concurrent_first_callers_share_one_build() {
+        let base = Arc::new(Baseline::new(
+            generate::isp_like(25, 60, 2000.0, 7).unwrap(),
+        ));
+        let got = crate::par::map_indexed(4, &[(); 4], |_, ()| {
+            base.comparators(SchemeMask::ALL, 5).unwrap()
+        });
+        for worker in &got[1..] {
+            assert_eq!(worker.len(), got[0].len());
+            for (a, b) in worker.iter().zip(&got[0]) {
+                assert!(Arc::ptr_eq(a, b), "{} built twice", a.name());
+            }
+        }
     }
 }

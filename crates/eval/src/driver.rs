@@ -7,7 +7,7 @@
 //! Scenarios are independent, so [`run_workload`] maps contiguous
 //! scenario chunks across the [`crate::par`] executor (one scratch set
 //! per worker) and [`run_topologies`] maps whole topologies. Every
-//! per-scenario partial result ([`ScenarioOutcome`]) is folded into the
+//! per-scenario partial result (`ScenarioOutcome`) is folded into the
 //! final [`TopologyResults`] *in scenario order on one thread*, and the
 //! serial path (`--threads 1`) runs the exact same fold — so output is
 //! byte-identical at every worker count, floating-point sums included.
@@ -19,7 +19,7 @@ use crate::baseline::Baseline;
 use crate::config::ExperimentConfig;
 use crate::par;
 use crate::schemes::{
-    build_comparators, eval_irrecoverable_in, eval_recoverable_in, IrrecoverableRow, RecoverableRow,
+    eval_irrecoverable_in, eval_recoverable_in, IrrecoverableRow, RecoverableRow,
 };
 use crate::testcase::{generate_workload_shared, sessions, ScenarioCases, Workload};
 use rtr_baselines::{MrcError, RecoveryScheme, SchemeId, SchemeMask};
@@ -27,6 +27,7 @@ use rtr_core::SessionPool;
 use rtr_sim::SimTime;
 use rtr_topology::isp;
 use std::fmt;
+use std::sync::Arc;
 
 /// Number of sample points of the Fig. 10 time grid (0..=1 s).
 pub const FIG10_POINTS: usize = 101;
@@ -89,7 +90,7 @@ struct ScenarioOutcome {
 fn run_scenario(
     w: &Workload,
     cfg: &ExperimentConfig,
-    comparators: &[Box<dyn RecoveryScheme>],
+    comparators: &[Arc<dyn RecoveryScheme>],
     sc: &ScenarioCases,
     pool: &SessionPool,
 ) -> ScenarioOutcome {
@@ -179,8 +180,10 @@ fn run_scenario(
 
 /// Runs all schemes over one workload, mapping scenario chunks across
 /// `cfg.threads` workers (see the module docs for the determinism
-/// argument). Comparator state (MRC/eMRC configurations, FEP detours) is
-/// built once and shared read-only by every worker.
+/// argument). Comparator state (MRC/eMRC configurations, FEP detours)
+/// comes from the workload baseline's memo,
+/// [`Baseline::comparators`]: built on the first call for the topology,
+/// reused by every later call, and shared read-only by every worker.
 ///
 /// # Errors
 ///
@@ -192,12 +195,12 @@ pub fn run_workload(
     w: &Workload,
     cfg: &ExperimentConfig,
 ) -> Result<TopologyResults, MrcUnavailable> {
-    let comparators =
-        build_comparators(w.topo(), cfg.schemes, cfg.mrc_configurations).map_err(|error| {
-            MrcUnavailable {
-                topology: w.name.clone(),
-                error,
-            }
+    let comparators = w
+        .baseline
+        .comparators(cfg.schemes, cfg.mrc_configurations)
+        .map_err(|error| MrcUnavailable {
+            topology: w.name.clone(),
+            error,
         })?;
     let threads = par::resolve_threads(cfg.threads);
 
@@ -524,5 +527,27 @@ mod tests {
         assert_eq!(err.error, MrcError::Disconnected);
         let msg = err.to_string();
         assert!(msg.contains("split"), "{msg}");
+        // The failed build is memoized on the baseline; a second call
+        // answers the same typed error.
+        assert_eq!(run_workload(&w, &cfg).unwrap_err(), err);
+    }
+
+    #[test]
+    fn repeat_runs_on_a_shared_baseline_match_a_fresh_one() {
+        // The second call takes its comparators from the baseline's memo;
+        // the results must not tell the difference.
+        let topo = generate::isp_like(30, 70, 2000.0, 8).unwrap();
+        for threads in [1, 2] {
+            let cfg = ExperimentConfig::quick()
+                .with_cases(30)
+                .with_threads(threads);
+            let shared = generate_workload("t", topo.clone(), &cfg, 2);
+            let first = format!("{:?}", run_workload(&shared, &cfg));
+            let second = format!("{:?}", run_workload(&shared, &cfg));
+            let fresh = generate_workload("t", topo.clone(), &cfg, 2);
+            let fresh = format!("{:?}", run_workload(&fresh, &cfg));
+            assert_eq!(first, second, "{threads} threads: repeat run diverged");
+            assert_eq!(first, fresh, "{threads} threads: fresh baseline diverged");
+        }
     }
 }

@@ -176,6 +176,10 @@ fn outcome_of(attempt: &SchemeAttempt, optimal_cost: u64) -> SchemeOutcome {
 /// MRC's configuration assignment is built at most once and shared between
 /// MRC and eMRC.
 ///
+/// This is the uncached builder: every call recomputes the backends.
+/// Consumers that hold a `Baseline` take them from its memo instead,
+/// [`Baseline::comparators`](crate::baseline::Baseline::comparators).
+///
 /// # Errors
 ///
 /// Propagates [`MrcError`] from `Mrc::build` when the mask requests MRC or
@@ -213,7 +217,9 @@ pub fn build_comparators(
 /// scenario (reuse it across all destinations of the initiator — that
 /// sharing is exactly RTR's once-per-initiator phase 1). `optimal` must be
 /// the ground-truth shortest-path tree rooted at the initiator.
-/// `comparators` come from [`build_comparators`].
+/// `comparators` come from the baseline's memo,
+/// [`Baseline::comparators`](crate::baseline::Baseline::comparators), or
+/// from [`build_comparators`].
 ///
 /// Returns the row plus the per-scheme overhead series used by Fig. 10.
 #[allow(clippy::too_many_arguments)]
@@ -221,7 +227,7 @@ pub fn eval_recoverable_in(
     ctx: SchemeCtx<'_>,
     scenario: &FailureScenario,
     session: &mut RtrSession<'_, FailureScenario>,
-    comparators: &[Box<dyn RecoveryScheme>],
+    comparators: &[impl AsRef<dyn RecoveryScheme>],
     optimal: &ShortestPaths,
     case: &TestCase,
     scratch: &mut SchemeScratch,
@@ -252,6 +258,7 @@ pub fn eval_recoverable_in(
 
     // --- Comparators, in SchemeId order ---
     for scheme in comparators {
+        let scheme = scheme.as_ref();
         let attempt = scheme.route_in(
             ctx,
             scenario,
@@ -281,7 +288,7 @@ pub fn eval_recoverable(
     ctx: SchemeCtx<'_>,
     scenario: &FailureScenario,
     session: &mut RtrSession<'_, FailureScenario>,
-    comparators: &[Box<dyn RecoveryScheme>],
+    comparators: &[impl AsRef<dyn RecoveryScheme>],
     optimal: &ShortestPaths,
     case: &TestCase,
 ) -> (RecoverableRow, CaseSeries) {
@@ -303,7 +310,7 @@ pub fn eval_irrecoverable_in(
     ctx: SchemeCtx<'_>,
     scenario: &FailureScenario,
     session: &mut RtrSession<'_, FailureScenario>,
-    comparators: &[Box<dyn RecoveryScheme>],
+    comparators: &[impl AsRef<dyn RecoveryScheme>],
     case: &TestCase,
     scratch: &mut SchemeScratch,
 ) -> IrrecoverableRow {
@@ -319,6 +326,7 @@ pub fn eval_irrecoverable_in(
     });
 
     for scheme in comparators {
+        let scheme = scheme.as_ref();
         let attempt = scheme.route_in(
             ctx,
             scenario,
@@ -345,7 +353,7 @@ pub fn eval_irrecoverable(
     ctx: SchemeCtx<'_>,
     scenario: &FailureScenario,
     session: &mut RtrSession<'_, FailureScenario>,
-    comparators: &[Box<dyn RecoveryScheme>],
+    comparators: &[impl AsRef<dyn RecoveryScheme>],
     case: &TestCase,
 ) -> IrrecoverableRow {
     eval_irrecoverable_in(

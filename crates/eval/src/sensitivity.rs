@@ -9,7 +9,6 @@ use crate::baseline::Baseline;
 use crate::config::ExperimentConfig;
 use crate::metrics::percentage;
 use crate::reports::{FigureReport, Series};
-use crate::schemes::build_comparators;
 use crate::testcase::{generate_workload_shared, sessions};
 use rtr_baselines::{SchemeId, SchemeMask};
 use rtr_core::{RtrSession, SchemeScratch};
@@ -39,7 +38,8 @@ pub fn sweep_radius(
     // One baseline for the whole sweep — only the failure radius varies.
     let baseline = Baseline::for_profile(&profile);
     let mask = SchemeMask::none().with(SchemeId::Fcp).with(SchemeId::Mrc);
-    let comparators = build_comparators(baseline.topo(), mask, cfg.mrc_configurations)
+    let comparators = baseline
+        .comparators(mask, cfg.mrc_configurations)
         .expect("twins are connected");
     let ctx = baseline.scheme_ctx();
     let mut scratch = SchemeScratch::new();

@@ -1,18 +1,19 @@
 //! The set of topologies a service instance answers queries for.
 //!
-//! Each [`FleetEntry`] pairs a name with its
-//! [`Baseline`](rtr_eval::baseline::Baseline) — built once at startup,
-//! with the parallel per-source build when threads are available — plus
-//! a per-region scenario cache so repeated observations of the same
-//! failure circle share one [`FailureScenario`]. The cache is keyed on
-//! the region's f64 *bit patterns* (a `BTreeMap`, keeping iteration
-//! deterministic) and holds `Arc`s, so workers resolve a hot region
-//! with one map probe and no recomputation.
+//! Each [`FleetEntry`] pairs a name with its [`Baseline`] — built once
+//! at startup, with the parallel per-source build when threads are
+//! available — plus a per-region scenario cache so repeated
+//! observations of the same failure circle share one
+//! [`FailureScenario`]. The cache is keyed on the region's f64 *bit
+//! patterns* (a `BTreeMap`, keeping iteration deterministic) and holds
+//! `Arc`s, so workers resolve a hot region with one map probe and no
+//! recomputation. Comparator backends live on
+//! the baseline itself ([`Baseline::comparator`]), shared with every
+//! other consumer of that baseline.
 
 use crate::proto::RegionSpec;
-use rtr_baselines::{RecoveryScheme, SchemeId, SchemeMask};
+use rtr_baselines::{RecoveryScheme, SchemeId};
 use rtr_eval::baseline::Baseline;
-use rtr_eval::schemes::build_comparators;
 use rtr_eval::ExperimentConfig;
 use rtr_topology::{isp, FailureScenario};
 use std::collections::BTreeMap;
@@ -24,11 +25,6 @@ pub struct FleetEntry {
     name: String,
     baseline: Arc<Baseline>,
     scenarios: Mutex<BTreeMap<(u64, u64, u64), Arc<FailureScenario>>>,
-    /// Comparator backends keyed by wire code, built on first request.
-    /// `None` records a code that cannot be served (unknown id, or a
-    /// backend whose precomputation failed — e.g. MRC on a topology it
-    /// cannot cover), so repeat offenders don't retry the build.
-    comparators: Mutex<BTreeMap<u8, Option<Arc<dyn RecoveryScheme>>>>,
 }
 
 impl FleetEntry {
@@ -39,7 +35,6 @@ impl FleetEntry {
             name: name.into(),
             baseline,
             scenarios: Mutex::new(BTreeMap::new()),
-            comparators: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -78,29 +73,15 @@ impl FleetEntry {
             .len()
     }
 
-    /// The comparator backend for a wire scheme code, built (and cached)
-    /// on first sight. `None` for unknown codes, for code 0 (RTR is the
-    /// service's native path, not a comparator), and for backends whose
-    /// per-topology precomputation fails; failures are cached too, so a
-    /// hostile client can't trigger rebuild storms.
+    /// The comparator backend for a wire scheme code, from the baseline's
+    /// memo ([`Baseline::comparator`]). `None` for unknown codes, for code
+    /// 0 (RTR is the service's native path, not a comparator), and for
+    /// backends whose per-topology precomputation fails; the memo keeps
+    /// failures too, so a hostile client can't trigger rebuild storms.
     pub fn comparator(&self, code: u8) -> Option<Arc<dyn RecoveryScheme>> {
-        if code == SchemeId::Rtr.code() {
-            return None;
-        }
-        let mut cache = self
-            .comparators
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        cache
-            .entry(code)
-            .or_insert_with(|| {
-                let id = SchemeId::from_code(code)?;
-                let mask = SchemeMask::none().with(id);
-                let configs = ExperimentConfig::default().mrc_configurations;
-                let built = build_comparators(self.baseline.topo(), mask, configs).ok()?;
-                built.into_iter().next().map(Arc::from)
-            })
-            .clone()
+        let id = SchemeId::from_code(code)?;
+        let configs = ExperimentConfig::default().mrc_configurations;
+        self.baseline.comparator(id, configs).ok().flatten()
     }
 }
 
@@ -216,6 +197,42 @@ mod tests {
         };
         assert!(entry.scenario(&bad).is_none());
         assert_eq!(entry.cached_scenarios(), 0);
+    }
+
+    #[test]
+    fn comparators_come_from_the_baseline_memo() {
+        let fleet = tiny_fleet();
+        let entry = fleet.get(0).unwrap();
+        for code in 1u8..=4 {
+            let a = entry.comparator(code).unwrap();
+            let b = entry.comparator(code).unwrap();
+            assert!(Arc::ptr_eq(&a, &b), "code {code} rebuilt");
+            assert_eq!(a.id().code(), code);
+        }
+        let configs = ExperimentConfig::default().mrc_configurations;
+        let memo = entry.baseline().comparator(SchemeId::Fep, configs);
+        assert!(Arc::ptr_eq(
+            &memo.unwrap().unwrap(),
+            &entry.comparator(4).unwrap()
+        ));
+        assert!(entry.comparator(SchemeId::Rtr.code()).is_none());
+        assert!(entry.comparator(5).is_none());
+        assert!(entry.comparator(u8::MAX).is_none());
+    }
+
+    #[test]
+    fn failed_precompute_stays_unserved() {
+        let mut b = rtr_topology::Topology::builder();
+        b.add_node(rtr_topology::Point::new(0.0, 0.0));
+        b.add_node(rtr_topology::Point::new(1.0, 0.0));
+        let split = b.build().unwrap();
+        let fleet = Fleet::from_baselines(vec![("split".into(), Arc::new(Baseline::new(split)))]);
+        let entry = fleet.get(0).unwrap();
+        for _ in 0..2 {
+            assert!(entry.comparator(SchemeId::Mrc.code()).is_none());
+            assert!(entry.comparator(SchemeId::Emrc.code()).is_none());
+        }
+        assert!(entry.comparator(SchemeId::Fcp.code()).is_some());
     }
 
     #[test]
