@@ -1,35 +1,28 @@
 //! `loadgen` — the open-loop load harness for `rtr-serve`.
 //!
-//! Three modes:
+//! Two modes:
 //!
 //! * **single run** (default): start an in-process service (or a
 //!   TCP-loopback one) and drive one load run, printing the report;
 //! * **`--connect ADDR`**: drive an already-running daemon over TCP
 //!   (`--shutdown` sends the drain frame afterwards and waits for the
-//!   acknowledgement — the CI smoke job's clean-drain check);
-//! * **`--sweep PATH`**: run the QPS × workers × transport benchmark
-//!   sweep and write `BENCH_serve.json` (`--smoke` shrinks it to the
-//!   CI tier). `cargo xtask bench-serve` shells to this mode.
+//!   acknowledgement — the CI smoke job's clean-drain check).
+//!
+//! Measured serving latency and capacity come from the workspace
+//! benchmark (`perfbench/`), not from this harness.
 //!
 //! ```text
 //! loadgen [--topo AS4323] [--transport inproc|tcp] [--workers N]
 //!         [--qps F | --saturate K] [--duration SECS] [--seed N]
 //!         [--cases N]
 //! loadgen --connect 127.0.0.1:4650 [--topo-index 0] [--shutdown] ...
-//! loadgen --sweep BENCH_serve.json [--smoke]
 //! ```
 
-use rtr_eval::json::Json;
 use rtr_eval::{par, writer};
 use rtr_serve::load::{build_mix, run_load, InProc, TcpClient};
 use rtr_serve::proto::RecoverRequest;
 use rtr_serve::{serve, Fleet, LoadConfig, LoadMode, LoadReport, ServeConfig, ServiceReport};
 use std::process::ExitCode;
-use std::sync::Arc;
-
-/// Seed of the benchmark scenario mix (arbitrary, fixed for
-/// reproducibility).
-const MIX_SEED: u64 = 0x52_54_52;
 
 struct Args {
     topo: String,
@@ -42,8 +35,6 @@ struct Args {
     connect: Option<String>,
     topo_index: u16,
     shutdown: bool,
-    sweep: Option<String>,
-    smoke: bool,
 }
 
 impl Default for Args {
@@ -59,8 +50,6 @@ impl Default for Args {
             connect: None,
             topo_index: 0,
             shutdown: false,
-            sweep: None,
-            smoke: false,
         }
     }
 }
@@ -93,8 +82,6 @@ fn parse_args() -> Result<Args, String> {
             "--connect" => args.connect = Some(value("--connect")?),
             "--topo-index" => args.topo_index = num("--topo-index", &value("--topo-index")?)?,
             "--shutdown" => args.shutdown = true,
-            "--sweep" => args.sweep = Some(value("--sweep")?),
-            "--smoke" => args.smoke = true,
             other => return Err(format!("unknown flag {other} (see module docs)")),
         }
     }
@@ -111,28 +98,6 @@ fn load_config(args: &Args) -> LoadConfig {
         drain_timeout_micros: 20_000_000,
         seed: args.seed,
     }
-}
-
-/// Peak RSS (VmHWM) in MiB, from /proc.
-fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: f64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0.0);
-            return kb / 1024.0;
-        }
-    }
-    0.0
-}
-
-/// Resets the VmHWM watermark so each sweep point reports its own peak.
-fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
 /// Runs one (transport, workers, mode) point against a fresh service.
@@ -158,117 +123,6 @@ fn run_point(
         }
     })?;
     Ok((load?, service_report))
-}
-
-fn quantiles(h: &rtr_obs::Histogram) -> (f64, f64, f64) {
-    (
-        h.quantile(0.50).unwrap_or(0) as f64,
-        h.quantile(0.99).unwrap_or(0) as f64,
-        h.quantile(0.999).unwrap_or(0) as f64,
-    )
-}
-
-fn point_row(
-    transport: &str,
-    workers: usize,
-    mode: &str,
-    target_qps: f64,
-    duration_secs: f64,
-    load: &LoadReport,
-    service: &ServiceReport,
-) -> Json {
-    let (sj50, sj99, sj999) = quantiles(&load.sojourn_micros);
-    let (sv50, sv99, sv999) = quantiles(&load.service_micros);
-    Json::Obj(vec![
-        ("transport", Json::Str(transport.to_string())),
-        ("workers", Json::Num(workers as f64)),
-        ("mode", Json::Str(mode.to_string())),
-        ("target_qps", Json::Num(target_qps)),
-        ("duration_secs", Json::Num(duration_secs)),
-        ("offered", Json::Num(load.offered as f64)),
-        ("completed", Json::Num(load.completed as f64)),
-        ("recoveries", Json::Num(load.recoveries as f64)),
-        ("delivered", Json::Num(load.delivered as f64)),
-        ("errors", Json::Num(load.errors as f64)),
-        ("recoveries_per_sec", Json::Num(load.recoveries_per_sec())),
-        ("sojourn_p50_us", Json::Num(sj50)),
-        ("sojourn_p99_us", Json::Num(sj99)),
-        ("sojourn_p999_us", Json::Num(sj999)),
-        ("service_p50_us", Json::Num(sv50)),
-        ("service_p99_us", Json::Num(sv99)),
-        ("service_p999_us", Json::Num(sv999)),
-        ("steals", Json::Num(service.steals() as f64)),
-        ("peak_rss_mb", Json::Num(peak_rss_mb())),
-        (
-            "drained_clean",
-            Json::Num(if load.drained_clean && service.drained_clean {
-                1.0
-            } else {
-                0.0
-            }),
-        ),
-    ])
-}
-
-/// The benchmark sweep behind `cargo xtask bench-serve`.
-fn run_sweep(path: &str, smoke: bool) -> Result<(), String> {
-    let host = par::resolve_threads(0);
-    let topo = "AS4323";
-    writer::notice(format!("loadgen: building {topo} baseline"));
-    let fleet = Fleet::from_profiles(&[topo.to_string()], host)?;
-    let entry = fleet.get(0).ok_or("empty fleet")?;
-    let baseline = Arc::clone(entry.baseline());
-    let mix_cases = if smoke { 60 } else { 200 };
-    let mix = build_mix(0, topo, &baseline, mix_cases, MIX_SEED);
-    let duration = if smoke { 1.0 } else { 3.0 };
-    let ladder: &[f64] = if smoke {
-        &[200.0]
-    } else {
-        &[250.0, 1000.0, 4000.0]
-    };
-    let mut worker_counts = vec![1usize, 2];
-    if !smoke && host >= 4 {
-        worker_counts.push(4);
-    }
-    let mut points = Vec::new();
-    for &workers in &worker_counts {
-        for transport in ["inproc", "tcp"] {
-            for &qps in ladder {
-                reset_peak_rss();
-                let cfg = LoadConfig::open_loop(qps, duration, MIX_SEED + workers as u64);
-                let (load, service) = run_point(&fleet, &mix, transport, workers, &cfg)?;
-                writer::notice(format!(
-                    "loadgen: {transport} x{workers} open @{qps}: \
-                     {:.0} recoveries/s, sojourn p99 {} us",
-                    load.recoveries_per_sec(),
-                    load.sojourn_micros.quantile(0.99).unwrap_or(0)
-                ));
-                points.push(point_row(
-                    transport, workers, "open", qps, duration, &load, &service,
-                ));
-            }
-            reset_peak_rss();
-            let cfg = LoadConfig::saturate(workers * 4, duration, MIX_SEED + workers as u64);
-            let (load, service) = run_point(&fleet, &mix, transport, workers, &cfg)?;
-            writer::notice(format!(
-                "loadgen: {transport} x{workers} saturate: {:.0} recoveries/s",
-                load.recoveries_per_sec()
-            ));
-            points.push(point_row(
-                transport, workers, "saturate", 0.0, duration, &load, &service,
-            ));
-        }
-    }
-    let doc = Json::Obj(vec![
-        ("schema", Json::Str("bench-serve-v1".into())),
-        ("host_parallelism", Json::Num(host as f64)),
-        ("topo", Json::Str(topo.into())),
-        ("smoke", Json::Num(if smoke { 1.0 } else { 0.0 })),
-        ("points", Json::Arr(points)),
-    ]);
-    writer::write_file(path, &format!("{}\n", doc.pretty()))?;
-    writer::notice(format!("loadgen: wrote {path}"));
-    Ok(())
 }
 
 /// Drives an external daemon over TCP; optionally sends Shutdown after.
@@ -333,9 +187,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let outcome = if let Some(path) = &args.sweep {
-        run_sweep(path, args.smoke).map(|()| true)
-    } else if args.connect.is_some() {
+    let outcome = if args.connect.is_some() {
         run_connect(&args)
     } else {
         run_single(&args)

@@ -124,16 +124,6 @@ impl LoadReport {
             self.recoveries as f64 / (self.elapsed_micros as f64 / 1e6)
         }
     }
-
-    /// Completed requests per second of wall time.
-    #[must_use]
-    pub fn completed_per_sec(&self) -> f64 {
-        if self.elapsed_micros == 0 {
-            0.0
-        } else {
-            self.completed as f64 / (self.elapsed_micros as f64 / 1e6)
-        }
-    }
 }
 
 impl std::fmt::Display for LoadReport {
@@ -268,7 +258,8 @@ impl Transport for InProc<'_> {
     }
 }
 
-/// A framed TCP client (non-blocking reads, retried writes).
+/// A framed TCP client: `TCP_NODELAY`, non-blocking reads so
+/// [`Transport::poll`] never waits, and writes retried on `WouldBlock`.
 #[derive(Debug)]
 pub struct TcpClient {
     stream: TcpStream,
@@ -283,6 +274,10 @@ impl TcpClient {
     /// Connection or socket-option failure, as a message.
     pub fn connect(addr: &str) -> Result<Self, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        // Every frame goes out in one write; Nagle would only hold it.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("set_nodelay: {e}"))?;
         stream
             .set_nonblocking(true)
             .map_err(|e| format!("set_nonblocking: {e}"))?;
@@ -333,19 +328,22 @@ impl Transport for TcpClient {
         Ok(true)
     }
 
+    /// On a closed connection, the frames that arrived before the close
+    /// are still appended before the error is returned.
     fn poll(&mut self, out: &mut Vec<Response>) -> Result<(), String> {
         let mut scratch = [0u8; 4096];
-        loop {
+        let closed = loop {
             match self.stream.read(&mut scratch) {
-                Ok(0) => return Err("connection closed".into()),
+                Ok(0) => break true,
                 Ok(n) => self.frames.extend(scratch.get(..n).unwrap_or(&[])),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break false,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(format!("read: {e}")),
             }
-        }
+        };
         loop {
             match self.frames.next_frame() {
+                Ok(None) if closed => return Err("connection closed".into()),
                 Ok(None) => return Ok(()),
                 Ok(Some(body)) => out
                     .push(proto::decode_response(&body).map_err(|e| format!("bad response: {e}"))?),
@@ -533,6 +531,19 @@ mod tests {
             }
         }
         assert_eq!(mix.len(), expected);
+    }
+
+    #[test]
+    fn poll_keeps_the_frames_that_arrived_with_the_close() {
+        // A peer that acknowledges and closes at once: the acknowledgement
+        // and the end of stream reach the client in the same poll.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpClient::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        proto::write_frame(&mut peer, &proto::encode_response(&Response::ShuttingDown)).unwrap();
+        drop(peer);
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(client.wait_shutting_down(5_000_000));
     }
 
     #[test]

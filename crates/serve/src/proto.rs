@@ -476,10 +476,11 @@ pub fn frame(body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Writes `body` as one frame to a possibly non-blocking stream,
-/// retrying on `WouldBlock`/`Interrupted` (worker replies share the
-/// acceptor's non-blocking sockets, and a loopback send buffer can
-/// momentarily fill under load).
+/// Writes `body` as one frame, in one `write` call when the socket
+/// takes it whole, retrying on `WouldBlock`/`Interrupted`. The service
+/// writes to blocking sockets, where `WouldBlock` does not occur; the
+/// retry serves [`TcpClient`](crate::load::TcpClient), whose socket is
+/// non-blocking so it can poll for responses.
 ///
 /// # Errors
 ///
@@ -556,8 +557,8 @@ impl FrameBuf {
 mod tests {
     use super::*;
 
-    fn sample_request() -> Request {
-        Request::Recover(RecoverRequest {
+    fn sample_recover() -> RecoverRequest {
+        RecoverRequest {
             id: 42,
             topo: 3,
             region: RegionSpec {
@@ -569,7 +570,11 @@ mod tests {
             failed_link: 19,
             scheme: 0,
             dests: vec![1, 2, 30],
-        })
+        }
+    }
+
+    fn sample_request() -> Request {
+        Request::Recover(sample_recover())
     }
 
     fn sample_response() -> Response {
@@ -608,9 +613,7 @@ mod tests {
 
     #[test]
     fn scheme_selectors_round_trip_via_v2() {
-        let Request::Recover(base) = sample_request() else {
-            unreachable!()
-        };
+        let base = sample_recover();
         for scheme in [1u8, 2, 3, 4, 250] {
             let req = Request::Recover(RecoverRequest {
                 scheme,
@@ -628,9 +631,7 @@ mod tests {
         // pre-scheme servers keep answering and pre-scheme captures keep
         // decoding. The v1 body is reconstructed field-by-field here: if
         // the v1 layout ever drifts, this fails.
-        let Request::Recover(r) = sample_request() else {
-            unreachable!()
-        };
+        let r = sample_recover();
         let body = encode_request(&Request::Recover(r.clone()));
         let mut v1 = vec![TAG_RECOVER_REQ];
         v1.extend_from_slice(&r.id.to_le_bytes());

@@ -4,9 +4,12 @@
 //! pops from the *front* of its home shard (FIFO for fairness) and, when
 //! that is empty, steals from the *back* of the other shards — the
 //! classic deque split that keeps an owner and its thieves on opposite
-//! ends. Blocking is a single `Mutex`+`Condvar` pair: pushes notify,
-//! idle poppers wait with a timeout so a missed wakeup only costs one
-//! tick. [`close`](RunQueue::close) starts the drain: poppers keep
+//! ends. Blocking is a single `Mutex`+`Condvar` pair, and no wakeup is
+//! lost: an idle popper rechecks the backlog and the open flag while
+//! holding the sleepers lock, and pushes (and [`close`](RunQueue::close))
+//! take that lock before they notify, so a notify cannot fall between
+//! a popper's last check and its wait. The wait keeps a timeout only as
+//! a backstop. [`close`](RunQueue::close) starts the drain: poppers keep
 //! serving until every shard is empty, then observe `None` — that is
 //! the graceful-drain contract the service's shutdown relies on.
 
@@ -15,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// How long an idle popper sleeps before re-checking the shards.
+/// Backstop on an idle popper's wait; pushes wake it well before.
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -99,7 +102,7 @@ impl<T> RunQueue<T> {
         if let Some(shard) = self.shards.get(slot) {
             lock(shard).push_back(item);
         }
-        self.wake.notify_one();
+        self.notify(false);
         true
     }
 
@@ -138,13 +141,18 @@ impl<T> RunQueue<T> {
                 }
             }
             if !self.is_open() && self.pending() == 0 {
-                // Propagate the drain: peers blocked in wait_timeout see
-                // the same state at their next tick, but waking them now
-                // makes shutdown immediate.
-                self.wake.notify_all();
+                // Propagate the drain: wake every peer now rather than
+                // at its backstop timeout.
+                self.notify(true);
                 return None;
             }
             let guard = lock(&self.sleepers);
+            // Recheck under the lock: a push or close that landed since
+            // the checks above has either been seen here or will notify
+            // only after this thread is waiting.
+            if self.pending() > 0 || !self.is_open() {
+                continue;
+            }
             let _unused = self
                 .wake
                 .wait_timeout(guard, IDLE_WAIT)
@@ -156,7 +164,18 @@ impl<T> RunQueue<T> {
     /// already queued and then observe `None`.
     pub fn close(&self) {
         self.open.store(false, Ordering::Release);
-        self.wake.notify_all();
+        self.notify(true);
+    }
+
+    /// Wakes one or all idle poppers. Taking `sleepers` first orders the
+    /// notify after any popper that is between its recheck and its wait.
+    fn notify(&self, all: bool) {
+        drop(lock(&self.sleepers));
+        if all {
+            self.wake.notify_all();
+        } else {
+            self.wake.notify_one();
+        }
     }
 }
 
@@ -246,6 +265,45 @@ mod tests {
             sum.load(Ordering::Relaxed),
             expect,
             "every job exactly once"
+        );
+    }
+
+    #[test]
+    fn push_wakes_an_idle_popper_without_the_backstop() {
+        // One consumer, sequential round trips. The producer spins on the
+        // consumer's answer and pushes the next job after a stagger of
+        // 0..64 spins, so pushes land at varying points of the consumer's
+        // way into its wait. A lost wakeup costs a full IDLE_WAIT, so a
+        // wake that keeps falling back to the timeout blows the budget.
+        const ROUND_TRIPS: u32 = 2_000;
+        let q = RunQueue::new(1);
+        let done = AtomicU64::new(0);
+        let elapsed = std::thread::scope(|s| {
+            let (q, done) = (&q, &done);
+            s.spawn(move || {
+                while let Some(got) = q.pop(0) {
+                    done.store(u64::from(got.item) + 1, Ordering::Release);
+                }
+            });
+            let start = std::time::Instant::now();
+            for i in 0..ROUND_TRIPS {
+                for _ in 0..i % 64 {
+                    std::hint::spin_loop();
+                }
+                assert!(q.push(i));
+                while done.load(Ordering::Acquire) != u64::from(i) + 1 {
+                    std::thread::yield_now();
+                }
+            }
+            let elapsed = start.elapsed();
+            q.close();
+            elapsed
+        });
+        let budget = IDLE_WAIT * ROUND_TRIPS / 10;
+        assert!(
+            elapsed < budget,
+            "{ROUND_TRIPS} round trips took {elapsed:?} (budget {budget:?}): \
+             wakeups fell back to the idle timeout"
         );
     }
 

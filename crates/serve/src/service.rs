@@ -1,20 +1,25 @@
 //! The worker runtime: scoped worker threads over the work-stealing
-//! queue, an optional TCP acceptor, and graceful drain.
+//! queue, an optional TCP acceptor with one reader per connection, and
+//! graceful drain.
 //!
 //! This module is the crate's only thread nursery (the static-analysis
 //! thread-discipline rule names it alongside `rtr_eval::par`): workers,
-//! and the acceptor when TCP is enabled, are born inside one
-//! `std::thread::scope` in [`serve`] and are all joined before it
-//! returns — no detached threads, ever. Each worker owns a
+//! the acceptor when TCP is enabled, and a blocking reader for each
+//! accepted connection are born inside one `std::thread::scope` in
+//! [`serve`] and are all joined before it returns — no detached
+//! threads, ever. A reader decodes and queues each request as soon as
+//! its bytes arrive; workers write replies through the connection's
+//! separate write half. Each worker owns a
 //! [`SessionPool`] (single-threaded by design) and pulls [`Job`]s from
 //! the shared [`RunQueue`], so session/Dijkstra/SPT buffers are reused
 //! across requests without crossing threads.
 //!
 //! Shutdown is a drain, not an abort: the shutdown flag stops the
-//! acceptor and the driving closure, [`RunQueue::close`] stops new
-//! pushes, workers finish every queued job, and only then does [`serve`]
-//! return — its [`ServiceReport`] records whether the drain left the
-//! queue empty along with per-worker job/steal/latency counters.
+//! acceptor, the connection readers and the driving closure; once every
+//! reader has stopped, [`RunQueue::close`] stops new pushes, workers
+//! finish every queued job, and only then does [`serve`] return — its
+//! [`ServiceReport`] records whether the drain left the queue empty
+//! along with per-worker job/steal/latency counters.
 
 use crate::clock::Stamp;
 use crate::fleet::Fleet;
@@ -27,15 +32,21 @@ use rtr_core::{DeliveryOutcome, SessionPool};
 use rtr_eval::par;
 use rtr_obs::Histogram;
 use rtr_topology::{GraphView, LinkId, NodeId};
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
 
-/// How often the acceptor and [`ServiceHandle::wait_shutdown`] poll.
+/// How often the acceptor looks for new connections and
+/// [`ServiceHandle::wait_shutdown`] for the shutdown flag.
 const POLL_TICK: Duration = Duration::from_micros(500);
+
+/// How long a connection reader blocks in `read` before it rechecks the
+/// shutdown flag; bounds how long an idle client can hold up the drain.
+const READ_TIMEOUT: Duration = Duration::from_millis(5);
 
 /// Service configuration.
 #[derive(Debug, Clone, Default)]
@@ -54,7 +65,7 @@ pub enum Reply {
     /// In-process transport: the response value is sent on a channel.
     InProc(mpsc::Sender<Response>),
     /// TCP transport: the encoded response frame is written to the
-    /// connection (shared with the acceptor via a mutex).
+    /// connection's write half (shared by the workers answering it).
     Tcp(Arc<Mutex<TcpStream>>),
 }
 
@@ -175,9 +186,9 @@ impl ServiceHandle {
         })
     }
 
-    /// Starts the drain: the acceptor stops, the driving closure's
-    /// [`wait_shutdown`](Self::wait_shutdown) returns, and [`serve`]
-    /// finishes queued work then joins everyone.
+    /// Starts the drain: the acceptor and connection readers stop, the
+    /// driving closure's [`wait_shutdown`](Self::wait_shutdown) returns,
+    /// and [`serve`] finishes queued work then joins everyone.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
     }
@@ -343,38 +354,61 @@ fn worker_loop(fleet: &Fleet, queue: &RunQueue<Job>, idx: usize) -> WorkerStats 
     stats
 }
 
-/// One TCP connection's acceptor-side state.
+/// One TCP connection, owned by its reader thread.
 struct Conn {
-    stream: Arc<Mutex<TcpStream>>,
+    /// Blocking read half; its [`READ_TIMEOUT`] only brings the reader
+    /// back to the shutdown check.
+    reader: TcpStream,
+    /// Write half (a `try_clone` of the same socket), shared with the
+    /// workers answering this connection. A blocked read never holds it.
+    writer: Arc<Mutex<TcpStream>>,
     frames: proto::FrameBuf,
     dead: bool,
 }
 
 impl Conn {
-    /// Reads whatever is available, decodes complete frames, and routes
-    /// them: recoveries to the queue, shutdown to the flag.
-    fn pump(&mut self, queue: &RunQueue<Job>, shutdown: &AtomicBool) {
+    /// Prepares an accepted socket: blocking, `TCP_NODELAY` (every frame
+    /// goes out in one `write`, so Nagle would only add delay), the read
+    /// timeout, and a cloned write half.
+    fn open(stream: TcpStream) -> std::io::Result<Self> {
+        stream.set_nonblocking(false)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
+        let writer = stream.try_clone()?;
+        Ok(Conn {
+            reader: stream,
+            writer: Arc::new(Mutex::new(writer)),
+            frames: proto::FrameBuf::new(),
+            dead: false,
+        })
+    }
+
+    /// Reads frames as they arrive and routes each one, until the peer
+    /// closes, the stream breaks or turns malformed, or a shutdown is
+    /// requested. Dropping `self` then closes the read half; the socket
+    /// closes once the last queued reply has been written.
+    fn run(mut self, queue: &RunQueue<Job>, shutdown: &AtomicBool) {
         let mut scratch = [0u8; 4096];
-        loop {
-            let read = {
-                let mut guard = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
-                guard.read(&mut scratch)
-            };
-            match read {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
+        while !self.dead && !shutdown.load(Ordering::Acquire) {
+            match self.reader.read(&mut scratch) {
+                Ok(0) => self.dead = true,
+                Ok(n) => {
+                    self.frames.extend(scratch.get(..n).unwrap_or(&[]));
+                    self.route_frames(queue, shutdown);
                 }
-                Ok(n) => self.frames.extend(scratch.get(..n).unwrap_or(&[])),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => self.dead = true,
             }
         }
-        loop {
+    }
+
+    /// Routes every complete frame buffered so far.
+    fn route_frames(&mut self, queue: &RunQueue<Job>, shutdown: &AtomicBool) {
+        while !self.dead {
             match self.frames.next_frame() {
                 Ok(None) => return,
                 Ok(Some(body)) => self.route(&body, queue, shutdown),
@@ -384,12 +418,13 @@ impl Conn {
                         error: ServeError::Malformed,
                     });
                     self.dead = true;
-                    return;
                 }
             }
         }
     }
 
+    /// Routes one frame body: recoveries to the queue, shutdown to the
+    /// flag.
     fn route(&mut self, body: &[u8], queue: &RunQueue<Job>, shutdown: &AtomicBool) {
         match proto::decode_request(body) {
             Ok(proto::Request::Recover(request)) => {
@@ -397,7 +432,7 @@ impl Conn {
                 let queued = queue.push(Job {
                     request,
                     enqueued: Stamp::now(),
-                    reply: Reply::Tcp(Arc::clone(&self.stream)),
+                    reply: Reply::Tcp(Arc::clone(&self.writer)),
                 });
                 if !queued {
                     self.respond(&Response::Error {
@@ -420,41 +455,49 @@ impl Conn {
         }
     }
 
-    fn respond(&mut self, response: &Response) {
-        let body = proto::encode_response(response);
-        let mut guard = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = proto::write_frame(&mut *guard, &body);
+    fn respond(&self, response: &Response) {
+        Reply::Tcp(Arc::clone(&self.writer)).send(response);
     }
 }
 
-fn acceptor_loop(listener: &TcpListener, queue: &RunQueue<Job>, shutdown: &AtomicBool) {
+/// Accepts connections until shutdown and gives each one a reader
+/// thread in `s`. The [`POLL_TICK`] sleep paces only new connections:
+/// requests on open ones are read by their blocking readers. Returns
+/// only after every reader has stopped, so no push can race the
+/// queue's close.
+fn acceptor_loop<'scope, 'env>(
+    s: &'scope Scope<'scope, 'env>,
+    listener: &TcpListener,
+    queue: &'env RunQueue<Job>,
+    shutdown: &'env AtomicBool,
+) {
     let _ = listener.set_nonblocking(true);
-    let mut conns: Vec<Conn> = Vec::new();
+    let mut readers: Vec<ScopedJoinHandle<'scope, ()>> = Vec::new();
     while !shutdown.load(Ordering::Acquire) {
         match listener.accept() {
+            // A socket that refuses its options is dropped, which closes
+            // it; the client sees the connection end.
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(true);
-                conns.push(Conn {
-                    stream: Arc::new(Mutex::new(stream)),
-                    frames: proto::FrameBuf::new(),
-                    dead: false,
-                });
+                if let Ok(conn) = Conn::open(stream) {
+                    readers.retain(|r| !r.is_finished());
+                    readers.push(s.spawn(move || conn.run(queue, shutdown)));
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL_TICK),
             Err(_) => break,
         }
-        for conn in &mut conns {
-            conn.pump(queue, shutdown);
-        }
-        conns.retain(|c| !c.dead);
-        std::thread::sleep(POLL_TICK);
+    }
+    // Readers see the flag within READ_TIMEOUT.
+    for reader in readers {
+        let _ = reader.join();
     }
 }
 
-/// Runs the service: spawns `cfg.workers` workers (and a TCP acceptor
-/// when `cfg.bind` is set), calls `f` with the [`ServiceHandle`], then
-/// drains — closing the queue, finishing every queued job, joining all
-/// threads — and reports.
+/// Runs the service: spawns `cfg.workers` workers (and, when `cfg.bind`
+/// is set, a TCP acceptor that starts a reader per connection), calls
+/// `f` with the [`ServiceHandle`], then drains — stopping intake,
+/// closing the queue, finishing every queued job, joining all threads —
+/// and reports.
 ///
 /// The daemon passes `|h| h.wait_shutdown()` as `f`; benchmarks pass
 /// their load loop. Everything `f` submitted before returning is
@@ -489,21 +532,21 @@ pub fn serve<R>(
             worker_handles.push(s.spawn(move || worker_loop(fleet, &queue, w)));
         }
         let acceptor = listener.as_ref().map(|l| {
-            let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&shutdown);
-            s.spawn(move || acceptor_loop(l, &queue, &shutdown))
+            let (queue, shutdown) = (&*queue, &*shutdown);
+            s.spawn(move || acceptor_loop(s, l, queue, shutdown))
         });
         let out = f(&handle);
-        // Drain: stop intake, finish the backlog, join in order.
+        // Drain: stop intake (the acceptor returns once its readers
+        // have), close the queue, finish the backlog, join the workers.
         shutdown.store(true, Ordering::Release);
+        if let Some(a) = acceptor {
+            let _ = a.join();
+        }
         queue.close();
         report.workers = worker_handles
             .into_iter()
             .map(|h| h.join().unwrap_or_default())
             .collect();
-        if let Some(a) = acceptor {
-            let _ = a.join();
-        }
         out
     });
     report.drained_clean = queue.pending() == 0;

@@ -43,11 +43,14 @@ fn mix(baseline: &Arc<Baseline>) -> Vec<RecoverRequest> {
 
 /// The serial oracle: one fresh session per request, no pooling, no
 /// queue, no threads. Returns the expected wire bytes keyed by id.
-fn oracle_bytes(baseline: &Baseline, mix: &[RecoverRequest]) -> BTreeMap<u64, Vec<u8>> {
+fn oracle_bytes(
+    baseline: &Baseline,
+    mix: &[RecoverRequest],
+) -> Result<BTreeMap<u64, Vec<u8>>, String> {
     let topo = baseline.topo();
     let mut out = BTreeMap::new();
     for req in mix {
-        let region = req.region.to_region().expect("mix regions are valid");
+        let region = req.region.to_region().ok_or("mix region is invalid")?;
         let scenario = FailureScenario::from_region(topo, &region);
         let mut scratch = RecoveryScratch::default();
         let mut session = RtrSession::start_in(
@@ -58,7 +61,7 @@ fn oracle_bytes(baseline: &Baseline, mix: &[RecoverRequest]) -> BTreeMap<u64, Ve
             rtr_topology::LinkId(req.failed_link),
             &mut scratch,
         )
-        .expect("mix requests pass phase 1");
+        .map_err(|e| format!("request {} fails phase 1: {e:?}", req.id))?;
         let results = req
             .dests
             .iter()
@@ -91,12 +94,15 @@ fn oracle_bytes(baseline: &Baseline, mix: &[RecoverRequest]) -> BTreeMap<u64, Ve
         });
         out.insert(req.id, encode_response(&resp));
     }
-    out
+    Ok(out)
 }
 
 /// Pushes the whole mix through a transport and collects the responses
 /// with `service_micros` normalized to zero, keyed by id.
-fn collect<T: Transport>(t: &mut T, mix: &[RecoverRequest]) -> BTreeMap<u64, Vec<u8>> {
+fn collect<T: Transport>(
+    t: &mut T,
+    mix: &[RecoverRequest],
+) -> Result<BTreeMap<u64, Vec<u8>>, String> {
     for req in mix {
         assert_eq!(t.submit(req.clone()), Ok(true), "submit refused");
     }
@@ -106,7 +112,8 @@ fn collect<T: Transport>(t: &mut T, mix: &[RecoverRequest]) -> BTreeMap<u64, Vec
     while got.len() < mix.len() {
         assert!(std::time::Instant::now() < deadline, "responses timed out");
         responses.clear();
-        t.poll(&mut responses).expect("poll failed");
+        t.poll(&mut responses)
+            .map_err(|e| format!("poll failed: {e}"))?;
         for resp in responses.drain(..) {
             match resp {
                 Response::Recover(mut r) => {
@@ -114,12 +121,12 @@ fn collect<T: Transport>(t: &mut T, mix: &[RecoverRequest]) -> BTreeMap<u64, Vec
                     let id = r.id;
                     got.insert(id, encode_response(&Response::Recover(r)));
                 }
-                other => panic!("unexpected response: {other:?}"),
+                other => return Err(format!("unexpected response: {other:?}")),
             }
         }
         std::thread::sleep(Duration::from_micros(200));
     }
-    got
+    Ok(got)
 }
 
 fn served_bytes(
@@ -127,22 +134,21 @@ fn served_bytes(
     mix: &[RecoverRequest],
     workers: usize,
     tcp: bool,
-) -> BTreeMap<u64, Vec<u8>> {
+) -> Result<BTreeMap<u64, Vec<u8>>, String> {
     let cfg = ServeConfig {
         workers,
         bind: tcp.then(|| "127.0.0.1:0".to_string()),
     };
     let (got, report) = serve(fleet, &cfg, |h| {
         if tcp {
-            let addr = h.addr().expect("tcp bind requested").to_string();
-            let mut t = TcpClient::connect(&addr).expect("loopback connect");
+            let addr = h.addr().ok_or("tcp bind requested")?.to_string();
+            let mut t = TcpClient::connect(&addr)?;
             collect(&mut t, mix)
         } else {
             let mut t = InProc::new(h);
             collect(&mut t, mix)
         }
-    })
-    .expect("serve failed");
+    })?;
     assert!(report.drained_clean, "drain left jobs behind");
     assert_eq!(report.jobs_completed(), mix.len() as u64);
     got
@@ -152,8 +158,8 @@ fn served_bytes(
 fn served_responses_are_byte_identical_to_the_serial_driver() {
     let (fleet, baseline) = grid_fleet();
     let mix = mix(&baseline);
-    let expected = oracle_bytes(&baseline, &mix);
-    let got = served_bytes(&fleet, &mix, 2, false);
+    let expected = oracle_bytes(&baseline, &mix).unwrap();
+    let got = served_bytes(&fleet, &mix, 2, false).unwrap();
     assert_eq!(got.len(), expected.len());
     for (id, bytes) in &expected {
         assert_eq!(
@@ -168,8 +174,8 @@ fn served_responses_are_byte_identical_to_the_serial_driver() {
 fn worker_count_does_not_change_results() {
     let (fleet, baseline) = grid_fleet();
     let mix = mix(&baseline);
-    let one = served_bytes(&fleet, &mix, 1, false);
-    let three = served_bytes(&fleet, &mix, 3, false);
+    let one = served_bytes(&fleet, &mix, 1, false).unwrap();
+    let three = served_bytes(&fleet, &mix, 3, false).unwrap();
     assert_eq!(one, three, "worker count changed served payloads");
 }
 
@@ -177,8 +183,8 @@ fn worker_count_does_not_change_results() {
 fn tcp_loopback_matches_inproc() {
     let (fleet, baseline) = grid_fleet();
     let mix = mix(&baseline);
-    let inproc = served_bytes(&fleet, &mix, 2, false);
-    let tcp = served_bytes(&fleet, &mix, 2, true);
+    let inproc = served_bytes(&fleet, &mix, 2, false).unwrap();
+    let tcp = served_bytes(&fleet, &mix, 2, true).unwrap();
     assert_eq!(inproc, tcp, "transport changed served payloads");
 }
 
@@ -188,18 +194,18 @@ fn scheme_oracle_bytes(
     baseline: &Baseline,
     mix: &[RecoverRequest],
     id: SchemeId,
-) -> BTreeMap<u64, Vec<u8>> {
+) -> Result<BTreeMap<u64, Vec<u8>>, String> {
     let topo = baseline.topo();
     let configs = ExperimentConfig::default().mrc_configurations;
     let scheme = build_comparators(topo, SchemeMask::none().with(id), configs)
-        .expect("grid6 supports every backend")
+        .map_err(|e| format!("grid6 supports every backend: {e:?}"))?
         .pop()
-        .expect("one scheme requested");
+        .ok_or("one scheme requested")?;
     let ctx = baseline.scheme_ctx();
     let mut scratch = SchemeScratch::new();
     let mut out = BTreeMap::new();
     for req in mix {
-        let region = req.region.to_region().expect("mix regions are valid");
+        let region = req.region.to_region().ok_or("mix region is invalid")?;
         let scenario = FailureScenario::from_region(topo, &region);
         let results = req
             .dests
@@ -233,7 +239,7 @@ fn scheme_oracle_bytes(
         });
         out.insert(req.id, encode_response(&resp));
     }
-    out
+    Ok(out)
 }
 
 #[test]
@@ -249,8 +255,8 @@ fn every_comparator_scheme_matches_its_trait_oracle() {
                 r
             })
             .collect();
-        let expected = scheme_oracle_bytes(&baseline, &scheme_mix, id);
-        let got = served_bytes(&fleet, &scheme_mix, 2, false);
+        let expected = scheme_oracle_bytes(&baseline, &scheme_mix, id).unwrap();
+        let got = served_bytes(&fleet, &scheme_mix, 2, false).unwrap();
         assert_eq!(got.len(), expected.len(), "{}", id.name());
         for (req_id, bytes) in &expected {
             assert_eq!(
@@ -294,7 +300,7 @@ fn v1_frames_are_served_unchanged_over_tcp() {
     let (fleet, baseline) = grid_fleet();
     let full_mix = mix(&baseline);
     let req = &full_mix[0];
-    let expected = oracle_bytes(&baseline, std::slice::from_ref(req));
+    let expected = oracle_bytes(&baseline, std::slice::from_ref(req)).unwrap();
     let cfg = ServeConfig {
         workers: 1,
         bind: Some("127.0.0.1:0".to_string()),

@@ -1,6 +1,6 @@
 //! `cargo xtask bench-record` / `bench-check` / `bench-scale` /
-//! `bench-serve`: regenerate and validate the committed
-//! `BENCH_eval.json`, `BENCH_scale.json`, and `BENCH_serve.json`.
+//! `bench-churn`: regenerate and validate the committed
+//! `BENCH_eval.json`, `BENCH_scale.json`, and `BENCH_churn.json`.
 
 use crate::json::{json_parse, JsonValue};
 use std::fs;
@@ -22,10 +22,6 @@ pub const SCALE_MIN_MAX_NODES: f64 = 90_000.0;
 /// seconds, not the hours the all-pairs scan would take.
 pub const SCALE_MAX_CROSSLINK_SECS: f64 = 120.0;
 
-/// Schema tag the `loadgen --sweep` recorder writes and the checker
-/// requires in `BENCH_serve.json`.
-pub const SERVE_SCHEMA: &str = "bench-serve-v1";
-
 /// Schema tag the churn recorder writes and the checker requires in
 /// `BENCH_churn.json`.
 pub const CHURN_SCHEMA: &str = "bench-churn-v1";
@@ -33,16 +29,6 @@ pub const CHURN_SCHEMA: &str = "bench-churn-v1";
 /// Minimum timeline workloads a full (non-smoke) `BENCH_churn.json`
 /// must carry (the recorder sweeps two churn twins plus a moving front).
 pub const CHURN_MIN_POINTS: usize = 2;
-
-/// Minimum best-multi-worker over one-worker throughput ratio (saturated,
-/// in-process) a sweep recorded on a host with at least
-/// [`SERVE_SPEEDUP_MIN_HOST`] cores must show.
-pub const SERVE_MIN_SPEEDUP: f64 = 1.5;
-
-/// Host parallelism below which the serve speedup gate only warns: on a
-/// one- or two-core recorder the extra workers time-slice one another and
-/// the ratio says nothing about the session pool.
-pub const SERVE_SPEEDUP_MIN_HOST: f64 = 4.0;
 
 /// One topology row of `BENCH_eval.json`, as `bench-check` reads it.
 #[derive(Debug)]
@@ -578,251 +564,6 @@ pub fn run_bench_scale(root: &Path, smoke: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// One sweep point of `BENCH_serve.json`, as the checker reads it.
-#[derive(Debug)]
-pub struct ServePoint {
-    /// `inproc` or `tcp`.
-    pub transport: String,
-    /// Worker-thread count of the point.
-    pub workers: f64,
-    /// `open` (Poisson arrivals) or `saturate` (fixed in-flight).
-    pub mode: String,
-    /// Sustained destination recoveries per second.
-    pub recoveries_per_sec: f64,
-}
-
-/// The parts of `BENCH_serve.json` the checker validates.
-#[derive(Debug)]
-pub struct ServeFile {
-    /// Resolved thread count on the recording host.
-    pub host_parallelism: Option<f64>,
-    /// Per-(transport, workers, mode) points.
-    pub points: Vec<ServePoint>,
-}
-
-/// Reads a `BENCH_serve.json` and validates its schema: the
-/// [`SERVE_SCHEMA`] tag, a non-empty `points` array, per point the full
-/// key set the `loadgen --sweep` recorder writes, monotone non-negative
-/// latency quantiles (p50 <= p99 <= p999 for both sojourn and service
-/// time), and a clean drain on every point. With `require_full`,
-/// additionally requires at least two distinct worker counts and both
-/// transports, so the committed artifact always carries a scaling
-/// comparison.
-///
-/// # Errors
-///
-/// Reports the first missing field, schema mismatch, quantile inversion,
-/// dirty drain, or coverage gap with the file's path.
-pub fn parse_serve_file(path: &Path, require_full: bool) -> Result<ServeFile, String> {
-    let text =
-        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let doc = json_parse(&text).map_err(|e| format!("{} does not parse: {e}", path.display()))?;
-    let schema = doc.get("schema").and_then(JsonValue::as_str);
-    if schema != Some(SERVE_SCHEMA) {
-        return Err(format!(
-            "{}: schema {schema:?} is not {SERVE_SCHEMA:?}",
-            path.display()
-        ));
-    }
-    let raw = doc
-        .get("points")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("{}: missing `points` array", path.display()))?;
-    if raw.is_empty() {
-        return Err(format!("{}: `points` is empty", path.display()));
-    }
-    let mut points = Vec::new();
-    for (i, p) in raw.iter().enumerate() {
-        let text_field = |field: &str| {
-            p.get(field)
-                .and_then(JsonValue::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("{}: point {i} has no string `{field}`", path.display()))
-        };
-        let transport = text_field("transport")?;
-        let mode = text_field("mode")?;
-        let num = |field: &str| {
-            p.get(field).and_then(JsonValue::as_f64).ok_or_else(|| {
-                format!(
-                    "{}: point {i} ({transport} x{}) has no numeric `{field}`",
-                    path.display(),
-                    p.get("workers").and_then(JsonValue::as_f64).unwrap_or(0.0)
-                )
-            })
-        };
-        // Fields not carried in `ServePoint` are still schema-required.
-        for field in [
-            "target_qps",
-            "duration_secs",
-            "offered",
-            "completed",
-            "delivered",
-            "errors",
-            "recoveries",
-            "steals",
-            "peak_rss_mb",
-        ] {
-            num(field)?;
-        }
-        for prefix in ["sojourn", "service"] {
-            let p50 = num(&format!("{prefix}_p50_us"))?;
-            let p99 = num(&format!("{prefix}_p99_us"))?;
-            let p999 = num(&format!("{prefix}_p999_us"))?;
-            if p50 < 0.0 || !(p50 <= p99 && p99 <= p999) {
-                return Err(format!(
-                    "{}: point {i} ({transport}) has non-monotone {prefix} quantiles \
-                     p50 {p50} / p99 {p99} / p999 {p999}",
-                    path.display()
-                ));
-            }
-        }
-        if num("drained_clean")? < 1.0 {
-            return Err(format!(
-                "{}: point {i} ({transport}) did not drain clean — the run left \
-                 requests in flight",
-                path.display()
-            ));
-        }
-        points.push(ServePoint {
-            workers: num("workers")?,
-            recoveries_per_sec: num("recoveries_per_sec")?,
-            transport,
-            mode,
-        });
-    }
-    if require_full {
-        let mut worker_counts: Vec<u64> = points.iter().map(|p| p.workers as u64).collect();
-        worker_counts.sort_unstable();
-        worker_counts.dedup();
-        if worker_counts.len() < 2 {
-            return Err(format!(
-                "{}: full sweep covers only worker counts {worker_counts:?}, \
-                 need at least two for a scaling comparison",
-                path.display()
-            ));
-        }
-        for transport in ["inproc", "tcp"] {
-            if !points.iter().any(|p| p.transport == transport) {
-                return Err(format!(
-                    "{}: full sweep has no `{transport}` points",
-                    path.display()
-                ));
-            }
-        }
-    }
-    Ok(ServeFile {
-        host_parallelism: doc.get("host_parallelism").and_then(JsonValue::as_f64),
-        points,
-    })
-}
-
-/// Validates the recorded multi-worker scaling: the best multi-worker
-/// saturated in-process throughput must be at least [`SERVE_MIN_SPEEDUP`]
-/// times the one-worker figure — a hard failure on hosts with at least
-/// [`SERVE_SPEEDUP_MIN_HOST`] cores, a warning on undersized recorders
-/// (extra workers on a one-core host only time-slice one another).
-/// Returns the warnings to print.
-///
-/// # Errors
-///
-/// Fails when an adequately-sized host recorded a sub-threshold ratio.
-pub fn check_serve_speedup(file: &ServeFile) -> Result<Vec<String>, String> {
-    let saturated = |p: &&ServePoint| p.mode == "saturate" && p.transport == "inproc";
-    let base = file
-        .points
-        .iter()
-        .filter(saturated)
-        .filter(|p| p.workers as u64 == 1)
-        .map(|p| p.recoveries_per_sec)
-        .fold(f64::NAN, f64::max);
-    let best = file
-        .points
-        .iter()
-        .filter(saturated)
-        .filter(|p| p.workers > 1.0)
-        .map(|p| p.recoveries_per_sec)
-        .fold(f64::NAN, f64::max);
-    if !base.is_finite() || !best.is_finite() || base <= 0.0 {
-        return Ok(vec![
-            "warning: no saturated in-process one-worker/multi-worker pair to \
-             compare — scaling not checked"
-                .into(),
-        ]);
-    }
-    let ratio = best / base;
-    let host = file.host_parallelism.unwrap_or(0.0);
-    if ratio >= SERVE_MIN_SPEEDUP {
-        return Ok(Vec::new());
-    }
-    if host < SERVE_SPEEDUP_MIN_HOST {
-        return Ok(vec![format!(
-            "warning: multi-worker saturated throughput is only {ratio:.2}x the \
-             one-worker figure, but the recording host has parallelism {host:.0} \
-             (< {SERVE_SPEEDUP_MIN_HOST:.0}) — time-slicing artifact, not gated; \
-             re-record on a host with >= {SERVE_SPEEDUP_MIN_HOST:.0} cores"
-        )]);
-    }
-    Err(format!(
-        "serve scaling regression: multi-worker saturated throughput is only \
-         {ratio:.2}x the one-worker figure on a host with parallelism {host:.0} \
-         (floor {SERVE_MIN_SPEEDUP}x) — investigate before re-recording with \
-         `cargo xtask bench-serve`"
-    ))
-}
-
-/// Runs the `loadgen --sweep` recorder. A full run leaves
-/// `BENCH_serve.json` at the workspace root and enforces the coverage
-/// floor; `--smoke` (the CI serve-smoke job) runs the one-second tier
-/// into `target/bench-serve/` and checks schema only. Scaling is
-/// validated via [`check_serve_speedup`] either way.
-///
-/// # Errors
-///
-/// Fails when the recorder cannot be launched, exits non-zero, or writes
-/// a file that does not validate.
-pub fn run_bench_serve(root: &Path, smoke: bool) -> Result<(), String> {
-    let out = if smoke {
-        let dir = root.join("target").join("bench-serve");
-        fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        dir.join("BENCH_serve.smoke.json")
-    } else {
-        root.join("BENCH_serve.json")
-    };
-    let mut cmd = std::process::Command::new("cargo");
-    cmd.args([
-        "run",
-        "--release",
-        "-p",
-        "rtr-serve",
-        "--bin",
-        "loadgen",
-        "--",
-        "--sweep",
-    ]);
-    cmd.arg(&out);
-    if smoke {
-        cmd.arg("--smoke");
-    }
-    let status = cmd
-        .current_dir(root)
-        .status()
-        .map_err(|e| format!("cannot launch cargo: {e}"))?;
-    if !status.success() {
-        return Err(format!("loadgen --sweep exited with {status}"));
-    }
-    let file = parse_serve_file(&out, !smoke)?;
-    for warning in check_serve_speedup(&file)? {
-        println!("cargo xtask bench-serve: {warning}");
-    }
-    println!(
-        "cargo xtask bench-serve: wrote {} ({} points{})",
-        out.display(),
-        file.points.len(),
-        if smoke { ", smoke" } else { "" }
-    );
-    Ok(())
-}
-
 /// Validates the committed `BENCH_eval.json` and guards against gross
 /// performance regressions: records a fresh file under `target/`, then
 /// fails if the fresh quick-workload serial total exceeds 2× the
@@ -832,10 +573,9 @@ pub fn run_bench_serve(root: &Path, smoke: bool) -> Result<(), String> {
 /// floor keeps timer noise from tripping the ratio). Coarse gates that
 /// survive CI-machine noise while catching algorithmic regressions.
 /// Recorded speedups are additionally validated via [`check_speedups`],
-/// and the committed `BENCH_scale.json` / `BENCH_serve.json` /
-/// `results/matrix.json` artifacts are schema-validated (the serve sweep
-/// also through its scaling gate, the matrix through
-/// [`parse_matrix_file`]).
+/// and the committed `BENCH_scale.json` / `BENCH_churn.json` /
+/// `results/matrix.json` artifacts are schema-validated (the matrix
+/// through [`parse_matrix_file`]).
 ///
 /// # Errors
 ///
@@ -902,17 +642,6 @@ pub fn run_bench_check(root: &Path) -> Result<(), String> {
     println!(
         "cargo xtask bench-check: OK — BENCH_scale.json carries {} full-sweep points",
         scale_points.len()
-    );
-
-    // Same treatment for the committed serving sweep: schema, quantile
-    // monotonicity, clean drains, coverage, and the scaling gate.
-    let serve_file = parse_serve_file(&root.join("BENCH_serve.json"), true)?;
-    for warning in check_serve_speedup(&serve_file)? {
-        println!("cargo xtask bench-check: {warning}");
-    }
-    println!(
-        "cargo xtask bench-check: OK — BENCH_serve.json carries {} sweep points",
-        serve_file.points.len()
     );
 
     // The committed churn sweep is validated schema-plus-invariants (no
@@ -1212,186 +941,6 @@ mod tests {
             &matrix_json(|s| s.replace("\"cases\": 240", "\"cases\": 0")),
         );
         assert!(parse_matrix_file(&empty).unwrap_err().contains("no cases"));
-    }
-
-    /// One serve point with every recorder key; `over` lets a test break
-    /// one field.
-    fn serve_point(transport: &str, workers: u64, mode: &str, rps: f64, over: &str) -> String {
-        let mut fields = vec![
-            format!("\"transport\": \"{transport}\""),
-            format!("\"workers\": {workers}"),
-            format!("\"mode\": \"{mode}\""),
-            "\"target_qps\": 500".into(),
-            "\"duration_secs\": 1".into(),
-            "\"offered\": 500".into(),
-            "\"completed\": 500".into(),
-            format!("\"recoveries\": {}", rps),
-            "\"delivered\": 400".into(),
-            "\"errors\": 0".into(),
-            format!("\"recoveries_per_sec\": {rps}"),
-            "\"sojourn_p50_us\": 100".into(),
-            "\"sojourn_p99_us\": 900".into(),
-            "\"sojourn_p999_us\": 2000".into(),
-            "\"service_p50_us\": 50".into(),
-            "\"service_p99_us\": 300".into(),
-            "\"service_p999_us\": 700".into(),
-            "\"steals\": 3".into(),
-            "\"peak_rss_mb\": 60".into(),
-            "\"drained_clean\": 1".into(),
-        ];
-        if !over.is_empty() {
-            let key = over
-                .split(':')
-                .next()
-                .unwrap_or("")
-                .trim()
-                .trim_matches('"');
-            fields.retain(|f| !f.starts_with(&format!("\"{key}\"")));
-            fields.push(over.to_string());
-        }
-        format!("{{{}}}", fields.join(", "))
-    }
-
-    fn serve_json(host: f64, points: &[String]) -> String {
-        format!(
-            "{{\"schema\": \"{SERVE_SCHEMA}\", \"host_parallelism\": {host}, \
-             \"topo\": \"AS4323\", \"smoke\": 0, \"points\": [{}]}}",
-            points.join(",")
-        )
-    }
-
-    fn full_serve_points(one_worker_rps: f64, two_worker_rps: f64) -> Vec<String> {
-        vec![
-            serve_point("inproc", 1, "open", one_worker_rps, ""),
-            serve_point("inproc", 1, "saturate", one_worker_rps, ""),
-            serve_point("tcp", 1, "saturate", one_worker_rps, ""),
-            serve_point("inproc", 2, "saturate", two_worker_rps, ""),
-            serve_point("tcp", 2, "saturate", two_worker_rps, ""),
-        ]
-    }
-
-    #[test]
-    fn parse_serve_file_accepts_a_full_sweep() {
-        let p = write_scale(
-            "serve-full.json",
-            &serve_json(4.0, &full_serve_points(1000.0, 2000.0)),
-        );
-        let f = parse_serve_file(&p, true).unwrap();
-        assert_eq!(f.points.len(), 5);
-        assert_eq!(f.host_parallelism, Some(4.0));
-        assert!(check_serve_speedup(&f).unwrap().is_empty());
-    }
-
-    #[test]
-    fn parse_serve_file_enforces_the_coverage_floor() {
-        let one_worker = write_scale(
-            "serve-onew.json",
-            &serve_json(
-                4.0,
-                &[
-                    serve_point("inproc", 1, "saturate", 1000.0, ""),
-                    serve_point("tcp", 1, "saturate", 900.0, ""),
-                ],
-            ),
-        );
-        let err = parse_serve_file(&one_worker, true).unwrap_err();
-        assert!(err.contains("worker counts"), "got: {err}");
-        // The same file passes as a smoke (schema-only) artifact.
-        assert_eq!(
-            parse_serve_file(&one_worker, false).unwrap().points.len(),
-            2
-        );
-
-        let no_tcp = write_scale(
-            "serve-notcp.json",
-            &serve_json(
-                4.0,
-                &[
-                    serve_point("inproc", 1, "saturate", 1000.0, ""),
-                    serve_point("inproc", 2, "saturate", 2000.0, ""),
-                ],
-            ),
-        );
-        let err = parse_serve_file(&no_tcp, true).unwrap_err();
-        assert!(err.contains("`tcp`"), "got: {err}");
-    }
-
-    #[test]
-    fn parse_serve_file_rejects_bad_points() {
-        let inverted = write_scale(
-            "serve-inv.json",
-            &serve_json(
-                4.0,
-                &[serve_point(
-                    "inproc",
-                    1,
-                    "open",
-                    1000.0,
-                    "\"sojourn_p99_us\": 50",
-                )],
-            ),
-        );
-        let err = parse_serve_file(&inverted, false).unwrap_err();
-        assert!(err.contains("non-monotone"), "got: {err}");
-
-        let dirty = write_scale(
-            "serve-dirty.json",
-            &serve_json(
-                4.0,
-                &[serve_point(
-                    "inproc",
-                    1,
-                    "open",
-                    1000.0,
-                    "\"drained_clean\": 0",
-                )],
-            ),
-        );
-        let err = parse_serve_file(&dirty, false).unwrap_err();
-        assert!(err.contains("drain clean"), "got: {err}");
-
-        let missing = write_scale(
-            "serve-miss.json",
-            &serve_json(
-                4.0,
-                &[serve_point(
-                    "inproc",
-                    1,
-                    "open",
-                    1000.0,
-                    "\"steals\": \"n/a\"",
-                )],
-            ),
-        );
-        let err = parse_serve_file(&missing, false).unwrap_err();
-        assert!(err.contains("steals"), "got: {err}");
-
-        let bad_tag = write_scale(
-            "serve-tag.json",
-            "{\"schema\": \"bench-serve-v0\", \"points\": [{}]}",
-        );
-        assert!(parse_serve_file(&bad_tag, false)
-            .unwrap_err()
-            .contains("schema"));
-    }
-
-    #[test]
-    fn serve_speedup_gates_on_adequate_hosts_and_warns_on_undersized() {
-        let flat = |host: f64| {
-            parse_serve_file(
-                &write_scale(
-                    &format!("serve-flat-{host}.json"),
-                    &serve_json(host, &full_serve_points(1000.0, 1100.0)),
-                ),
-                true,
-            )
-            .unwrap()
-        };
-        let err = check_serve_speedup(&flat(8.0)).expect_err("adequate host must gate");
-        assert!(err.contains("scaling regression"), "got: {err}");
-        let warnings = check_serve_speedup(&flat(1.0)).expect("undersized host must not gate");
-        assert_eq!(warnings.len(), 1, "got: {warnings:?}");
-        assert!(warnings[0].contains("time-slicing"), "got: {warnings:?}");
     }
 
     #[test]

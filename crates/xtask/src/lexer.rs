@@ -296,11 +296,7 @@ impl Lexer<'_> {
             if is_raw_prefix {
                 return self.raw_string(lo);
             }
-            self.pos += 1; // consume the quote via string()'s convention
-            self.pos -= 1;
-            // Re-run the plain string scan from the quote, spanning `lo`.
-            let quote = self.pos;
-            self.pos = quote;
+            // Run the plain string scan from the quote, spanning `lo`.
             return self.string_spanning(lo);
         }
         if next == b'#' && is_raw_prefix {
@@ -332,8 +328,6 @@ impl Lexer<'_> {
     /// A plain string scan whose token span starts at `lo` (for `b"…"` /
     /// `c"…"` prefixes); the cursor sits on the opening quote.
     fn string_spanning(&mut self, lo: usize) -> Result<(), LexError> {
-        let quote = self.pos;
-        self.pos = quote;
         // Reuse string() but fix up the span start afterwards.
         self.string()?;
         if let Some(last) = self.out.last_mut() {

@@ -53,20 +53,6 @@ fn main() -> ExitCode {
                 "bench-scale",
             )
         }
-        Some("bench-serve") => {
-            let smoke = match args.get(1).map(String::as_str) {
-                None => false,
-                Some("--smoke") => true,
-                Some(other) => {
-                    eprintln!("cargo xtask bench-serve: unknown flag `{other}` (expected --smoke)");
-                    return ExitCode::FAILURE;
-                }
-            };
-            run_bench(
-                move |root| xtask::bench::run_bench_serve(root, smoke),
-                "bench-serve",
-            )
-        }
         Some("bench-churn") => {
             let smoke = match args.get(1).map(String::as_str) {
                 None => false,
@@ -83,7 +69,7 @@ fn main() -> ExitCode {
         }
         other => {
             eprintln!(
-                "usage: cargo xtask <analyze [--json|--github|--list-rules]|bench-record|bench-check|bench-scale [--smoke]|bench-serve [--smoke]|bench-churn [--smoke]>\n  \
+                "usage: cargo xtask <analyze [--json|--github|--list-rules]|bench-record|bench-check|bench-scale [--smoke]|bench-churn [--smoke]>\n  \
                  (got {:?})\n\n\
                  analyze       Runs the workspace static-analysis pass: panic-freedom,\n\
                  \x20             print/determinism discipline in the hot-path crates,\n\
@@ -99,15 +85,12 @@ fn main() -> ExitCode {
                  \x20             carry serial_secs/sweep_secs, speedups sane for the\n\
                  \x20             recording host) and fails if a fresh run regresses\n\
                  \x20             >2x on the serial total or on any topology's sweep_secs;\n\
-                 \x20             also schema-validates the committed BENCH_scale.json,\n\
-                 \x20             BENCH_serve.json (quantiles, drains, scaling), and\n\
-                 \x20             BENCH_churn.json (oracle-checked, incremental <= rebuild).\n\
+                 \x20             also schema-validates the committed BENCH_scale.json\n\
+                 \x20             and BENCH_churn.json (oracle-checked, incremental <=\n\
+                 \x20             rebuild).\n\
                  bench-scale   Regenerates BENCH_scale.json at the workspace root\n\
                  \x20             (1k-100k-node size sweep per generator); --smoke runs\n\
                  \x20             only the 1k tier into target/bench-scale/ (the CI job).\n\
-                 bench-serve   Regenerates BENCH_serve.json at the workspace root\n\
-                 \x20             (loadgen QPS x workers x transport sweep); --smoke runs\n\
-                 \x20             the 1-second tier into target/bench-serve/ (the CI job).\n\
                  bench-churn   Regenerates BENCH_churn.json at the workspace root\n\
                  \x20             (per-event incremental vs rebuild baseline cost, every\n\
                  \x20             event oracle-checked); --smoke runs one small-grid\n\

@@ -7,7 +7,8 @@ use crate::engine::{SourceFile, Violation};
 pub const THREAD_EXECUTOR: &str = "crates/eval/src/par.rs";
 
 /// The serving-side file allowed to create threads: `rtr-serve`'s worker
-/// runtime, where `serve()` scopes its worker and acceptor threads.
+/// runtime, where `serve()` scopes its worker, acceptor and
+/// connection-reader threads.
 pub const SERVE_RUNTIME: &str = "crates/serve/src/service.rs";
 
 /// Thread discipline: `thread::spawn` / `thread::scope` only inside the

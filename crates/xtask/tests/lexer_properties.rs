@@ -51,17 +51,16 @@ const STRING_PIECES: [&str; 8] = [
 ];
 
 /// The (kind, text) stream of non-comment tokens.
-fn code_stream(src: &str) -> Vec<(TokKind, String)> {
+fn code_stream(src: &str) -> Result<Vec<(TokKind, String)>, String> {
     lex(src)
-        .unwrap_or_else(|e| panic!("lex failed on {src:?}: {e:?}"))
+        .map_err(|e| format!("lex failed on {src:?}: {e:?}"))?
         .into_iter()
         .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
         .map(|t| {
             let text = src
                 .get(t.lo..t.hi)
-                .expect("token spans are valid")
-                .to_owned();
-            (t.kind, text)
+                .ok_or_else(|| format!("token span {}..{} is not valid", t.lo, t.hi))?;
+            Ok((t.kind, text.to_owned()))
         })
         .collect()
 }
@@ -83,7 +82,7 @@ proptest! {
             with_spaces.push_str(FRAGMENTS[f]);
             with_spaces.push(' ');
         }
-        prop_assert_eq!(code_stream(&with_seps), code_stream(&with_spaces));
+        prop_assert_eq!(code_stream(&with_seps).unwrap(), code_stream(&with_spaces).unwrap());
     }
 
     /// Comment-looking and code-looking text inside a string literal never
@@ -98,7 +97,7 @@ proptest! {
             body.push_str(STRING_PIECES[p]);
         }
         let src = format!("let s = \"{body}\"; done");
-        let toks = code_stream(&src);
+        let toks = code_stream(&src).unwrap();
         // let s = "..." ; done  =>  exactly 6 code tokens.
         prop_assert_eq!(toks.len(), 6, "tokens: {:?}", toks);
         prop_assert_eq!(toks[3].0, TokKind::Literal);
