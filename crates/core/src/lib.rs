@@ -60,8 +60,7 @@ pub mod sweep;
 pub use error::Phase1Error;
 pub use multi::{recover_multi_area, MultiAreaOutcome};
 pub use phase1::{
-    collect_failure_info, collect_failure_info_traced, collect_failure_info_with, Phase1Result,
-    Phase1Termination,
+    collect_failure_info, collect_failure_info_traced, Phase1Result, Phase1Termination,
 };
 pub use phase2::{
     source_route_walk, source_route_walk_reusing, source_route_walk_traced, DeliveryOutcome,
@@ -69,4 +68,24 @@ pub use phase2::{
 };
 pub use pool::{DijkstraLease, PooledSession, SchemeLease, SchemeScratch, SessionPool, SptLease};
 pub use recovery::{RecoveryAttempt, RtrSession};
-pub use sweep::{SweepContext, SweepKernel};
+pub use sweep::SweepContext;
+
+/// Accepted and ignored; exists only because `perfbench/` names it;
+/// delete with ROADMAP item 2.
+#[doc(hidden)]
+#[derive(Debug, Default, Clone, Copy)]
+pub struct SweepKernel;
+
+/// Accepted and ignored; exists only because `perfbench/` names it;
+/// delete with ROADMAP item 2.
+#[doc(hidden)]
+pub fn collect_failure_info_with(
+    topo: &rtr_topology::Topology,
+    crosslinks: &rtr_topology::CrossLinkTable,
+    view: &impl rtr_topology::GraphView,
+    initiator: rtr_topology::NodeId,
+    failed_default_link: rtr_topology::LinkId,
+    _: SweepKernel,
+) -> Result<Phase1Result, Phase1Error> {
+    collect_failure_info(topo, crosslinks, view, initiator, failed_default_link)
+}

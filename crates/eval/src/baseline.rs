@@ -21,7 +21,7 @@
 
 use crate::schemes::build_comparators;
 use rtr_baselines::{MrcError, RecoveryScheme, SchemeId, SchemeMask};
-use rtr_routing::{Kernels, RoutingTable};
+use rtr_routing::RoutingTable;
 use rtr_topology::{isp, CrossLinkTable, FullView, NodeId, Topology};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -57,41 +57,24 @@ impl Baseline {
     /// Computes the full baseline for `topo` (routing table, crossing
     /// table, first-hop buckets).
     pub fn new(topo: Topology) -> Self {
-        Self::with_kernels(topo, Kernels::default())
-    }
-
-    /// Like [`new`](Self::new), computing the all-pairs routing table with
-    /// an explicit queue-kernel selection. The resulting artifact is
-    /// identical for every kernel; only the build time changes.
-    pub fn with_kernels(topo: Topology, kernels: Kernels) -> Self {
-        Self::with_kernels_threads(topo, kernels, 1)
+        Self::with_threads(topo, 1)
     }
 
     /// Like [`new`](Self::new), building the per-source artifacts on up to
     /// `threads` workers (resolve a request with
     /// [`par::resolve_threads`](crate::par::resolve_threads) first).
-    pub fn with_threads(topo: Topology, threads: usize) -> Self {
-        Self::with_kernels_threads(topo, Kernels::default(), threads)
-    }
-
-    /// The general entry point: explicit kernels *and* worker count.
     ///
     /// Every per-source artifact (shortest-path tree, first-hop buckets)
     /// depends only on the immutable topology, so sources are split into
     /// contiguous ranges fanned out through [`crate::par::map_indexed`]
     /// and the per-range results concatenated in order — byte-identical to
     /// the serial build at any thread count. `threads <= 1` never spawns.
-    pub fn with_kernels_threads(topo: Topology, kernels: Kernels, threads: usize) -> Self {
+    pub fn with_threads(topo: Topology, threads: usize) -> Self {
         // 4 ranges per worker so one slow range (e.g. a hub-heavy id block)
         // load-balances instead of stalling the join.
         let ranges = crate::par::chunk_ranges(topo.node_count(), threads.max(1) * 4);
         let tree_chunks = crate::par::map_indexed(threads, &ranges, |_, r| {
-            RoutingTable::compute_sources_with(
-                &topo,
-                &FullView,
-                kernels,
-                r.clone().map(|i| NodeId(i as u32)),
-            )
+            RoutingTable::compute_sources(&topo, &FullView, r.clone().map(|i| NodeId(i as u32)))
         });
         let table = RoutingTable::from_trees(tree_chunks.into_iter().flatten().collect());
         let crosslinks = CrossLinkTable::new(&topo);

@@ -56,8 +56,8 @@ fn main() {
         }),
     };
 
-    let replays = rtr_eval::trace::replay_scenario(&w, sc, &opts.config);
-    let registry = rtr_eval::trace::scenario_registry(&w, sc, &opts.config);
+    let replays = rtr_eval::trace::replay_scenario(&w, sc);
+    let registry = rtr_eval::trace::scenario_registry(&w, sc);
 
     let mut out = String::new();
     out.push_str(&format!(

@@ -63,6 +63,6 @@ fn main() {
     );
 
     std::fs::write(out_dir.join("all.txt"), &text).expect("write all.txt");
-    println!("{text}");
+    print!("{text}");
     eprintln!("[rtr-eval] artifacts written to results/");
 }

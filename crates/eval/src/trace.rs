@@ -3,8 +3,8 @@
 //!
 //! The driver's hot loops run with the no-op sink (tracing off = free);
 //! when `--trace <path>` is given, this module *replays* the RTR side of
-//! every scenario with a live sink — same workload, same kernels, same
-//! deterministic seeds — aggregating one [`MetricsRegistry`] per scenario
+//! every scenario with a live sink — same workload, same deterministic
+//! seeds — aggregating one [`MetricsRegistry`] per scenario
 //! and writing it as one JSONL line. The replay walks the same
 //! [`testcase::sessions`](crate::testcase::sessions) layout as the driver,
 //! so the event-derived numbers equal the driver's metrics; the
@@ -27,11 +27,10 @@ use std::time::Instant;
 fn replay_scenario_into<S: TraceSink>(
     w: &Workload,
     sc: &ScenarioCases,
-    cfg: &ExperimentConfig,
     sink: &mut S,
     mut per_session: impl FnMut(&mut S, SessionStats),
 ) {
-    let mut scratch = RecoveryScratch::with_kernels(cfg.kernels, cfg.sweep);
+    let mut scratch = RecoveryScratch::default();
     for class in [&sc.recoverable, &sc.irrecoverable] {
         for (initiator, failed_link, cases) in sessions(class) {
             let phase1_start = Instant::now();
@@ -90,13 +89,9 @@ pub struct SessionStats {
 /// Replays one scenario into a fresh [`MetricsRegistry`]: counters from
 /// the event stream, per-session histograms and phase wall time from the
 /// session boundaries.
-pub fn scenario_registry(
-    w: &Workload,
-    sc: &ScenarioCases,
-    cfg: &ExperimentConfig,
-) -> MetricsRegistry {
+pub fn scenario_registry(w: &Workload, sc: &ScenarioCases) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
-    replay_scenario_into(w, sc, cfg, &mut reg, |reg, s| {
+    replay_scenario_into(w, sc, &mut reg, |reg, s| {
         reg.record_phase_micros(Phase::Collect, s.phase1_micros);
         reg.record_phase_micros(Phase::Recompute, s.phase2_micros);
         reg.finish_session(
@@ -122,14 +117,10 @@ pub struct SessionReplay {
 /// Replays every session of one scenario with a [`CollectingSink`],
 /// returning the per-session event streams in the driver's deterministic
 /// order (recoverable initiators ascending, then irrecoverable).
-pub fn replay_scenario(
-    w: &Workload,
-    sc: &ScenarioCases,
-    cfg: &ExperimentConfig,
-) -> Vec<SessionReplay> {
+pub fn replay_scenario(w: &Workload, sc: &ScenarioCases) -> Vec<SessionReplay> {
     let mut sink = CollectingSink::new();
     let mut replays: Vec<SessionReplay> = Vec::new();
-    replay_scenario_into(w, sc, cfg, &mut sink, |sink, stats| {
+    replay_scenario_into(w, sc, &mut sink, |sink, stats| {
         replays.push(SessionReplay {
             stats,
             events: sink.events().to_vec(),
@@ -218,7 +209,7 @@ pub fn write_trace(
     for &p in profiles {
         let w = workload_for(p, cfg);
         for (i, sc) in w.scenarios.iter().enumerate() {
-            let reg = scenario_registry(&w, sc, cfg);
+            let reg = scenario_registry(&w, sc);
             let line = Json::Obj(vec![
                 ("topology", Json::Str(p.name.to_string())),
                 ("scenario", Json::Num(i as f64)),
@@ -262,18 +253,18 @@ mod tests {
     use crate::testcase::generate_workload;
     use rtr_topology::generate;
 
-    fn fixture() -> (Workload, ExperimentConfig) {
+    fn fixture() -> Workload {
         let cfg = ExperimentConfig::quick().with_cases(30).with_threads(1);
         let topo = generate::isp_like(30, 70, 2000.0, 8).unwrap();
-        (generate_workload("t", topo, &cfg, 2), cfg)
+        generate_workload("t", topo, &cfg, 2)
     }
 
     #[test]
     fn registry_counters_match_collected_events() {
-        let (w, cfg) = fixture();
+        let w = fixture();
         let (_, sc) = first_recoverable_scenario(&w).expect("30 cases hit something");
-        let reg = scenario_registry(&w, sc, &cfg);
-        let replays = replay_scenario(&w, sc, &cfg);
+        let reg = scenario_registry(&w, sc);
+        let replays = replay_scenario(&w, sc);
         assert_eq!(reg.sessions(), replays.len() as u64);
 
         let count = |f: fn(&Event) -> bool| -> u64 {
@@ -312,9 +303,9 @@ mod tests {
 
     #[test]
     fn narrate_produces_one_labelled_line_per_event() {
-        let (w, cfg) = fixture();
+        let w = fixture();
         let (_, sc) = first_recoverable_scenario(&w).unwrap();
-        let replays = replay_scenario(&w, sc, &cfg);
+        let replays = replay_scenario(&w, sc);
         let r = replays.first().unwrap();
         let text = narrate(&r.events);
         assert_eq!(text.lines().count(), r.events.len());

@@ -118,13 +118,13 @@ fn replayed_events_byte_equal_driver_metrics() {
     let (_, sc) = first_recoverable_scenario(&w).expect("40 cases hit a recoverable scenario");
 
     // Replay side: collecting-sink event streams, one per session.
-    let replays = replay_scenario(&w, sc, &cfg);
+    let replays = replay_scenario(&w, sc);
     assert!(!replays.is_empty());
 
     // Driver side: identical construction to driver::run_scenario.
     let comparators = build_comparators(w.topo(), cfg.schemes, cfg.mrc_configurations)
         .expect("AS209 supports MRC");
-    let pool = SessionPool::with_kernels(cfg.kernels, cfg.sweep);
+    let pool = SessionPool::new();
     let ctx = w.scheme_ctx();
 
     let mut replay_it = replays.iter();

@@ -1,5 +1,6 @@
-//! Kernel selection for the shortest-path computations, plus the Dial
-//! monotone bucket queue.
+//! Dial's monotone bucket queue, the priority queue of every monotone
+//! Dijkstra run (`dijkstra`, `DijkstraScratch::run`/`run_to`,
+//! `RoutingTable::compute`, `IncrementalSpt`'s fresh build and `reset`).
 //!
 //! Rocketfuel-derived link costs are small integers (the paper's
 //! evaluation uses hop counts, i.e. all costs 1), so the Dijkstra
@@ -9,11 +10,10 @@
 //! `key mod (C + 1)` — pushes and pops are O(1) array operations instead
 //! of heap sifts.
 //!
-//! # Pop-order equivalence with the binary heap
+//! # Pop order
 //!
-//! The `BinaryHeap<Reverse<(dist, node)>>` baseline pops entries in
-//! lexicographically ascending `(dist, node)` order. The bucket queue
-//! reproduces that order *exactly*:
+//! The queue pops entries in lexicographically ascending `(dist, node)`
+//! order, exactly as a `BinaryHeap<Reverse<(dist, node)>>` would:
 //!
 //! * keys only grow, and all link costs are ≥ 1 (the topology builder
 //!   rejects zero costs), so no relaxation performed while draining the
@@ -23,121 +23,21 @@
 //!   yields ascending `(dist, node)` across the whole run, duplicates
 //!   included.
 //!
-//! Equivalence (distances, parents, and settle order on ties) is pinned by
-//! proptests in `tests/dijkstra_proptest.rs`.
+//! `tests/dijkstra_proptest.rs` pins distances and parents against a
+//! test-local binary-heap Dijkstra.
 //!
-//! Only the monotone runs (`dijkstra`, `DijkstraScratch::run`/`run_to`,
-//! `IncrementalSpt::reset`) can use the bucket queue. The incremental
-//! repair loop of [`IncrementalSpt::remove_links`]
-//! [`crate::IncrementalSpt::remove_links`] seeds its frontier with
-//! already-absolute distances spanning far more than `C`, violating the
-//! circular-bucket invariant, so it stays on the binary heap.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Priority-queue implementation used by the monotone Dijkstra runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKernel {
-    /// `BinaryHeap<Reverse<(dist, node)>>` — the PR 3 baseline.
-    Heap,
-    /// Dial circular bucket queue keyed on
-    /// [`Topology::max_link_cost`](rtr_topology::Topology::max_link_cost).
-    #[default]
-    Bucket,
-}
-
-/// Kernel configuration for this crate's shortest-path computations.
-///
-/// Carried by the scratch types ([`DijkstraScratch`]
-/// [`crate::DijkstraScratch`], [`SptScratch`](crate::SptScratch)), so a
-/// kernel choice made once at pool/scratch construction follows every run
-/// without per-call plumbing. The default is the configuration kept after
-/// the PR 4 `BENCH_eval.json` comparison (see DESIGN.md §9).
-///
-/// Every kernel computes byte-identical results; only throughput differs.
-///
-/// # Examples
-///
-/// ```
-/// use rtr_routing::{DijkstraScratch, Kernels, QueueKernel};
-/// use rtr_topology::{generate, FullView, NodeId};
-///
-/// let topo = generate::grid(4, 4, 10.0);
-/// let mut heap = DijkstraScratch::with_kernels(Kernels::baseline());
-/// let mut dial = DijkstraScratch::with_kernels(Kernels {
-///     queue: QueueKernel::Bucket,
-/// });
-/// let a = heap.run(&topo, &FullView, NodeId(0));
-/// let b = dial.run(&topo, &FullView, NodeId(0));
-/// assert_eq!(a.distance(NodeId(15)), b.distance(NodeId(15)));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Kernels {
-    /// Queue used by full-SPT and early-exit Dijkstra runs.
-    pub queue: QueueKernel,
-}
-
-impl Kernels {
-    /// The PR 3 baseline configuration (binary heap everywhere).
-    pub fn baseline() -> Self {
-        Kernels {
-            queue: QueueKernel::Heap,
-        }
-    }
-}
-
-/// Minimal queue interface shared by the heap and bucket kernels, so the
-/// relaxation loop in `dijkstra::run_raw` is written once and
-/// monomorphized per kernel.
-pub(crate) trait MonoQueue {
-    /// Enqueues `node` with key `dist`.
-    fn push(&mut self, dist: u64, node: u32);
-    /// Removes and returns the minimum `(dist, node)` entry.
-    fn pop(&mut self) -> Option<(u64, u32)>;
-}
-
-impl MonoQueue for BinaryHeap<Reverse<(u64, u32)>> {
-    #[inline]
-    fn push(&mut self, dist: u64, node: u32) {
-        BinaryHeap::push(self, Reverse((dist, node)));
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        BinaryHeap::pop(self).map(|Reverse(e)| e)
-    }
-}
-
-/// The queue half of a Dijkstra scratch: the selected kernel plus both
-/// queue buffers (only the selected one is touched per run; the idle one
-/// stays empty and costs a few pointers).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct QueueScratch {
-    /// Kernel selection, fixed at scratch construction.
-    pub(crate) kernels: Kernels,
-    /// Buffer for [`QueueKernel::Heap`] runs.
-    pub(crate) heap: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Buffer for [`QueueKernel::Bucket`] runs.
-    pub(crate) dial: DialQueue,
-}
-
-impl QueueScratch {
-    pub(crate) fn with_kernels(kernels: Kernels) -> Self {
-        QueueScratch {
-            kernels,
-            ..Self::default()
-        }
-    }
-}
+//! The incremental repair loop of `IncrementalSpt::remove_links` cannot
+//! use this queue: it seeds its frontier with already-absolute distances
+//! spanning far more than `C`, violating the circular-bucket invariant, so
+//! that loop keeps its own binary heap.
 
 /// Dial's circular bucket queue over `span = max_link_cost + 1` buckets.
 ///
 /// Entries are bare node ids; the key of every entry in a bucket is
 /// implied by the drain cursor. Stale entries (the node was re-pushed at a
-/// smaller key) are filtered by the caller's `dist[u] == Some(d)` check,
-/// exactly as with the heap. All buffers retain capacity across
-/// [`reset`](Self::reset), so steady-state runs allocate nothing.
+/// smaller key) are filtered by the caller's `dist[u] == Some(d)` check.
+/// All buffers retain capacity across [`reset`](Self::reset), so
+/// steady-state runs allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DialQueue {
     /// `span` circular buckets; the bucket for key `k` is `k % span`.
@@ -174,11 +74,10 @@ impl DialQueue {
         self.drain_pos = 0;
         self.drain_key = 0;
     }
-}
 
-impl MonoQueue for DialQueue {
+    /// Enqueues `node` with key `dist`.
     #[inline]
-    fn push(&mut self, dist: u64, node: u32) {
+    pub(crate) fn push(&mut self, dist: u64, node: u32) {
         // The monotonicity invariant guarantees `dist` is within `span` of
         // the drain cursor, so the modular index is unambiguous.
         debug_assert!(self.drain_pos >= self.drain.len() || dist > self.drain_key);
@@ -190,7 +89,8 @@ impl MonoQueue for DialQueue {
         }
     }
 
-    fn pop(&mut self) -> Option<(u64, u32)> {
+    /// Removes and returns the minimum `(dist, node)` entry.
+    pub(crate) fn pop(&mut self) -> Option<(u64, u32)> {
         if let Some(&node) = self.drain.get(self.drain_pos) {
             self.drain_pos += 1;
             self.pending -= 1;

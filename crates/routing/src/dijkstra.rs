@@ -7,7 +7,7 @@
 //! deterministically by node id so that every router computes the same
 //! paths, matching the consistent-view assumption of §II-A.
 
-use crate::kernels::{Kernels, MonoQueue, QueueKernel, QueueScratch};
+use crate::dial::DialQueue;
 use crate::path::Path;
 use rtr_topology::{GraphView, LinkId, NodeId, Topology};
 
@@ -72,39 +72,28 @@ impl ShortestPaths {
 /// Reusable buffers for repeated Dijkstra runs.
 ///
 /// The evaluation hot loop performs thousands of shortest-path computations
-/// per scenario sweep; allocating the dist/parent vectors and the binary
-/// heap anew each time dominates small-topology runtimes. A scratch keeps
+/// per scenario sweep; allocating the dist/parent vectors and the bucket
+/// queue anew each time dominates small-topology runtimes. A scratch keeps
 /// those buffers alive across calls: [`run`](Self::run) clears them while
 /// retaining capacity, so repeated calls on same-sized topologies perform no
 /// transient heap allocations once warmed up.
 #[derive(Debug, Clone)]
 pub struct DijkstraScratch {
     paths: ShortestPaths,
-    queue: QueueScratch,
+    queue: DialQueue,
 }
 
 impl DijkstraScratch {
-    /// An empty scratch with the default [`Kernels`]; buffers grow on
-    /// first use.
+    /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
-        Self::with_kernels(Kernels::default())
-    }
-
-    /// An empty scratch running the given kernel configuration.
-    pub fn with_kernels(kernels: Kernels) -> Self {
         DijkstraScratch {
             paths: ShortestPaths {
                 source: NodeId(0),
                 dist: Vec::new(),
                 parent: Vec::new(),
             },
-            queue: QueueScratch::with_kernels(kernels),
+            queue: DialQueue::default(),
         }
-    }
-
-    /// The kernel configuration this scratch runs with.
-    pub fn kernels(&self) -> Kernels {
-        self.queue.kernels
     }
 
     /// Runs Dijkstra from `source` over the links usable in `view`, reusing
@@ -127,32 +116,6 @@ impl DijkstraScratch {
             &mut self.paths.dist,
             &mut self.paths.parent,
             &mut self.queue,
-            None,
-        );
-        &self.paths
-    }
-
-    /// Like [`run`](Self::run), but also appends every settled node to
-    /// `log` in pop order — the observation hook for the heap-vs-bucket
-    /// equivalence proptests. Not part of the stable API.
-    #[doc(hidden)]
-    pub fn run_with_settle_log(
-        &mut self,
-        topo: &Topology,
-        view: &impl GraphView,
-        source: NodeId,
-        log: &mut Vec<NodeId>,
-    ) -> &ShortestPaths {
-        self.paths.source = source;
-        run_raw(
-            topo,
-            view,
-            source,
-            None,
-            &mut self.paths.dist,
-            &mut self.paths.parent,
-            &mut self.queue,
-            Some(log),
         );
         &self.paths
     }
@@ -165,7 +128,7 @@ impl DijkstraScratch {
     ///
     /// For the settled target, the result is bit-for-bit identical to a
     /// full [`run`](Self::run): once the target pops with distance `d`,
-    /// every remaining heap entry has key ≥ `d` and all positive link
+    /// every remaining queued entry has key ≥ `d` and all positive link
     /// costs keep later relaxations strictly above `d`, so the target's
     /// label — and every ancestor on its parent chain, settled at smaller
     /// distances — can never change again.
@@ -185,7 +148,6 @@ impl DijkstraScratch {
             &mut self.paths.dist,
             &mut self.paths.parent,
             &mut self.queue,
-            None,
         );
         &self.paths
     }
@@ -213,11 +175,9 @@ impl Default for DijkstraScratch {
 /// pop; see [`DijkstraScratch::run_to`] for why that leaves the target's
 /// label and parent chain exactly as a full run would.
 ///
-/// The relaxation loop is shared by both queue kernels ([`QueueKernel`]);
-/// the bucket queue reproduces the heap's pop order exactly (see
-/// [`crate::kernels`]), so results are identical bit for bit either way.
-/// `settle_log`, when given, receives every settled node in pop order.
-#[allow(clippy::too_many_arguments)]
+/// The queue is Dial's bucket queue keyed on the topology's
+/// [`max_link_cost`](Topology::max_link_cost); it pops in ascending
+/// `(dist, node)` order, exactly as a binary heap would.
 pub(crate) fn run_raw(
     topo: &Topology,
     view: &impl GraphView,
@@ -225,8 +185,7 @@ pub(crate) fn run_raw(
     target: Option<NodeId>,
     dist: &mut Vec<Option<u64>>,
     parent: &mut Vec<Option<(NodeId, LinkId)>>,
-    queue: &mut QueueScratch,
-    settle_log: Option<&mut Vec<NodeId>>,
+    queue: &mut DialQueue,
 ) {
     let n = topo.node_count();
     dist.clear();
@@ -236,48 +195,7 @@ pub(crate) fn run_raw(
     if !view.is_node_live(source) {
         return;
     }
-    match queue.kernels.queue {
-        QueueKernel::Heap => {
-            queue.heap.clear();
-            relax_loop(
-                topo,
-                view,
-                source,
-                target,
-                dist,
-                parent,
-                &mut queue.heap,
-                settle_log,
-            );
-        }
-        QueueKernel::Bucket => {
-            queue.dial.reset(topo.max_link_cost());
-            relax_loop(
-                topo,
-                view,
-                source,
-                target,
-                dist,
-                parent,
-                &mut queue.dial,
-                settle_log,
-            );
-        }
-    }
-}
-
-/// The relaxation loop, monomorphized per queue kernel.
-#[allow(clippy::too_many_arguments)]
-fn relax_loop<Q: MonoQueue>(
-    topo: &Topology,
-    view: &impl GraphView,
-    source: NodeId,
-    target: Option<NodeId>,
-    dist: &mut [Option<u64>],
-    parent: &mut [Option<(NodeId, LinkId)>],
-    queue: &mut Q,
-    mut settle_log: Option<&mut Vec<NodeId>>,
-) {
+    queue.reset(topo.max_link_cost());
     if let Some(d0) = dist.get_mut(source.index()) {
         *d0 = Some(0);
     }
@@ -286,9 +204,6 @@ fn relax_loop<Q: MonoQueue>(
         let u = NodeId(u);
         if dist.get(u.index()).copied().flatten() != Some(d) {
             continue; // stale entry
-        }
-        if let Some(log) = settle_log.as_deref_mut() {
-            log.push(u);
         }
         if target == Some(u) {
             return; // settled: label and parent chain are final

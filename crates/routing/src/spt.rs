@@ -11,7 +11,7 @@
 //! [`IncrementalSpt::nodes_touched`] exposes how much work each update did,
 //! backing the incremental-vs-full ablation bench.
 
-use crate::kernels::{Kernels, QueueScratch};
+use crate::dial::DialQueue;
 use crate::path::Path;
 use rtr_obs::{Event, TraceSink};
 use rtr_topology::{GraphView, LinkId, NodeId, Topology};
@@ -34,28 +34,10 @@ pub struct SptScratch {
     affected: Vec<bool>,
     stack: Vec<NodeId>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
-    queue: QueueScratch,
+    queue: DialQueue,
 }
 
 impl SptScratch {
-    /// An empty scratch whose full rebuilds ([`IncrementalSpt::reset`] and
-    /// initial construction) run the given kernel configuration. The
-    /// incremental repair of [`IncrementalSpt::remove_links`] always uses
-    /// the binary heap: its frontier seeds span more than the max link
-    /// cost, violating the bucket queue's monotonicity invariant (see
-    /// [`crate::kernels`]).
-    pub fn with_kernels(kernels: Kernels) -> Self {
-        SptScratch {
-            queue: QueueScratch::with_kernels(kernels),
-            ..Self::default()
-        }
-    }
-
-    /// The kernel configuration carried by this scratch.
-    pub fn kernels(&self) -> Kernels {
-        self.queue.kernels
-    }
-
     /// Distance label left behind by the tree that dissolved into this
     /// scratch (see [`IncrementalSpt::into_scratch`]), or `None` for an
     /// unreachable or out-of-range node. Lets a caller that parks many
@@ -105,11 +87,14 @@ pub struct IncrementalSpt<'a> {
     nodes_touched: usize,
     // Persistent repair scratch: cleared (capacity retained) by each
     // `remove_links`/`reset`, so steady-state updates allocate nothing.
+    // Full rebuilds run on the bucket `queue`; the repair loops keep a
+    // binary `heap`, because their frontier seeds span more than the
+    // topology's max link cost and would break the buckets' invariant.
     children: Vec<Vec<NodeId>>,
     affected: Vec<bool>,
     stack: Vec<NodeId>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
-    queue: QueueScratch,
+    queue: DialQueue,
 }
 
 impl<'a> IncrementalSpt<'a> {
@@ -202,11 +187,6 @@ impl<'a> IncrementalSpt<'a> {
         }
     }
 
-    /// The kernel configuration this tree's full rebuilds run with.
-    pub fn kernels(&self) -> Kernels {
-        self.queue.kernels
-    }
-
     /// Recomputes the tree from scratch over `view`, rooted at `source`,
     /// reusing every internal buffer.
     ///
@@ -223,7 +203,6 @@ impl<'a> IncrementalSpt<'a> {
             &mut self.dist,
             &mut self.parent,
             &mut self.queue,
-            None,
         );
         self.removed.clear();
         self.removed.extend(

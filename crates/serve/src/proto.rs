@@ -477,10 +477,12 @@ pub fn frame(body: &[u8]) -> Vec<u8> {
 }
 
 /// Writes `body` as one frame, in one `write` call when the socket
-/// takes it whole, retrying on `WouldBlock`/`Interrupted`. The service
-/// writes to blocking sockets, where `WouldBlock` does not occur; the
-/// retry serves [`TcpClient`](crate::load::TcpClient), whose socket is
-/// non-blocking so it can poll for responses.
+/// takes it whole, retrying on `WouldBlock`/`Interrupted`. The retry
+/// serves [`TcpClient`](crate::load::TcpClient), whose socket is
+/// non-blocking so it can poll for responses. It also makes this the
+/// wrong call for a socket with a write timeout, whose expiry Linux
+/// reports as `WouldBlock`: the service writes its replies with
+/// `write_all` instead.
 ///
 /// # Errors
 ///

@@ -32,8 +32,8 @@ use rtr_core::{DeliveryOutcome, SessionPool};
 use rtr_eval::par;
 use rtr_obs::Histogram;
 use rtr_topology::{GraphView, LinkId, NodeId};
-use std::io::{ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -47,6 +47,11 @@ const POLL_TICK: Duration = Duration::from_micros(500);
 /// How long a connection reader blocks in `read` before it rechecks the
 /// shutdown flag; bounds how long an idle client can hold up the drain.
 const READ_TIMEOUT: Duration = Duration::from_millis(5);
+
+/// How long a reply write may block on a client that has stopped
+/// reading. A write that times out abandons the connection, so such a
+/// client holds a worker (and the drain) for at most this long.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Service configuration.
 #[derive(Debug, Clone, Default)]
@@ -65,7 +70,9 @@ pub enum Reply {
     /// In-process transport: the response value is sent on a channel.
     InProc(mpsc::Sender<Response>),
     /// TCP transport: the encoded response frame is written to the
-    /// connection's write half (shared by the workers answering it).
+    /// connection's write half (shared by the workers answering it). A
+    /// failed or timed-out write shuts the socket down both ways: its
+    /// reader stops, and later replies to it fail at once.
     Tcp(Arc<Mutex<TcpStream>>),
 }
 
@@ -77,10 +84,15 @@ impl Reply {
             Reply::InProc(tx) => {
                 let _ = tx.send(response.clone());
             }
+            // `write_all` gives up on the `WouldBlock`/`TimedOut` that a
+            // `WRITE_TIMEOUT` expiry returns, where `proto::write_frame`
+            // would retry it forever.
             Reply::Tcp(stream) => {
-                let body = proto::encode_response(response);
+                let frame = proto::frame(&proto::encode_response(response));
                 let mut guard = stream.lock().unwrap_or_else(PoisonError::into_inner);
-                let _ = proto::write_frame(&mut *guard, &body);
+                if guard.write_all(&frame).is_err() {
+                    let _ = guard.shutdown(Shutdown::Both);
+                }
             }
         }
     }
@@ -360,7 +372,8 @@ struct Conn {
     /// back to the shutdown check.
     reader: TcpStream,
     /// Write half (a `try_clone` of the same socket), shared with the
-    /// workers answering this connection. A blocked read never holds it.
+    /// workers answering this connection, with a [`WRITE_TIMEOUT`]. A
+    /// blocked read never holds it.
     writer: Arc<Mutex<TcpStream>>,
     frames: proto::FrameBuf,
     dead: bool,
@@ -369,12 +382,13 @@ struct Conn {
 impl Conn {
     /// Prepares an accepted socket: blocking, `TCP_NODELAY` (every frame
     /// goes out in one `write`, so Nagle would only add delay), the read
-    /// timeout, and a cloned write half.
+    /// and write timeouts, and a cloned write half.
     fn open(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nonblocking(false)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(READ_TIMEOUT))?;
         let writer = stream.try_clone()?;
+        writer.set_write_timeout(Some(WRITE_TIMEOUT))?;
         Ok(Conn {
             reader: stream,
             writer: Arc::new(Mutex::new(writer)),

@@ -1,12 +1,14 @@
 //! The TCP path under hostile or lazy clients: a garbage frame, a client
-//! that vanishes mid-frame, a client that connects and goes idle, and a
-//! shutdown requested over the wire. Each run must return promptly and
+//! that vanishes mid-frame, a client that connects and goes idle, a
+//! client that never reads its replies, and a shutdown requested over the
+//! wire. Each run must return promptly and
 //! drain clean; a hang fails the test through a watchdog instead of
 //! stalling the suite.
 
 use rtr_eval::baseline::Baseline;
 use rtr_serve::load::build_mix;
 use rtr_serve::proto::{self, FrameBuf, RecoverRequest, Request, Response, ServeError};
+use rtr_serve::service::answer;
 use rtr_serve::{serve, Fleet, ServeConfig, ServiceReport};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -19,6 +21,9 @@ const WATCHDOG: Duration = Duration::from_secs(60);
 /// Read timeout on test sockets, so a missing reply fails a read
 /// instead of blocking it forever.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// Destinations per request in the never-reading client's requests.
+const WIDE_DESTS: usize = 50_000;
 
 /// What one watched serve run produced.
 struct Run<R> {
@@ -37,9 +42,7 @@ fn serve_tcp<R: Send + 'static>(
 ) -> Result<Run<R>, String> {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let baseline = Arc::new(Baseline::new(rtr_topology::generate::grid(5, 5, 100.0)));
-        let mix = build_mix(0, "grid5", &baseline, 20, 3);
-        let fleet = Fleet::from_baselines(vec![("grid5".to_string(), baseline)]);
+        let (fleet, mix) = grid5();
         let cfg = ServeConfig {
             workers,
             bind: Some("127.0.0.1:0".to_string()),
@@ -61,6 +64,37 @@ fn serve_tcp<R: Send + 'static>(
     });
     rx.recv_timeout(WATCHDOG)
         .map_err(|_| format!("serve did not return within {WATCHDOG:?}"))?
+}
+
+/// The served fleet (one 5×5 grid) and its request mix.
+fn grid5() -> (Fleet, Vec<RecoverRequest>) {
+    let baseline = Arc::new(Baseline::new(rtr_topology::generate::grid(5, 5, 100.0)));
+    let mix = build_mix(0, "grid5", &baseline, 20, 3);
+    (
+        Fleet::from_baselines(vec![("grid5".to_string(), baseline)]),
+        mix,
+    )
+}
+
+/// The most bytes the loopback socket buffers of one connection can
+/// hold: the receiver's and the sender's autotuning maxima, or 64 MiB
+/// where the kernel does not publish them.
+fn loopback_buffer_bytes() -> usize {
+    let max = |path: &str| -> Option<usize> {
+        std::fs::read_to_string(path)
+            .ok()?
+            .split_whitespace()
+            .nth(2)?
+            .parse()
+            .ok()
+    };
+    match (
+        max("/proc/sys/net/ipv4/tcp_rmem"),
+        max("/proc/sys/net/ipv4/tcp_wmem"),
+    ) {
+        (Some(r), Some(w)) => r + w,
+        _ => 64 << 20,
+    }
 }
 
 fn connect(addr: SocketAddr) -> Result<TcpStream, String> {
@@ -186,6 +220,62 @@ fn idle_client_does_not_hold_up_the_drain() {
         run.drain
     );
     drop(idle);
+}
+
+/// Requests whose replies, left unread, overflow the loopback buffers:
+/// the first requests of the mix, each asking for every node of the
+/// grid over and over.
+fn wide_requests(mix: &[RecoverRequest], fleet: &Fleet) -> Vec<RecoverRequest> {
+    let limit = loopback_buffer_bytes();
+    let pool = rtr_core::SessionPool::new();
+    let mut reply_bytes = 0;
+    let mut out = Vec::new();
+    for req in mix.iter().cycle().take(mix.len() * 4) {
+        if reply_bytes > limit {
+            break;
+        }
+        let mut wide = req.clone();
+        wide.id = out.len() as u64;
+        wide.dests = (0..25).cycle().take(WIDE_DESTS).collect();
+        let reply = answer(fleet, &pool, &wide);
+        if matches!(reply, Response::Recover(_)) {
+            reply_bytes += proto::frame(&proto::encode_response(&reply)).len();
+            out.push(wide);
+        }
+    }
+    assert!(
+        reply_bytes > limit,
+        "{reply_bytes} reply bytes cannot outgrow {limit} bytes of socket buffers"
+    );
+    out
+}
+
+#[test]
+fn client_that_never_reads_does_not_hold_up_the_drain() {
+    let (fleet, mix) = grid5();
+    let wide = wide_requests(&mix, &fleet);
+    let sent = wide.len();
+    let run = serve_tcp(1, move |addr, _| -> Result<TcpStream, String> {
+        // Send everything, read nothing, and stay connected past serve's
+        // return. Once the daemon gives up on the connection, the rest
+        // of the requests may find it closed.
+        let mut deaf = connect(addr)?;
+        for req in wide {
+            if send(&mut deaf, &Request::Recover(req)).is_err() {
+                break;
+            }
+        }
+        Ok(deaf)
+    })
+    .unwrap();
+    let deaf = run.out.unwrap();
+    assert!(run.report.drained_clean);
+    let done = run.report.jobs_completed();
+    assert!(
+        (1..=sent as u64).contains(&done),
+        "{done} of {sent} requests answered"
+    );
+    drop(deaf);
 }
 
 #[test]

@@ -14,6 +14,10 @@ use crate::graph::LinkId;
 /// Bits per storage word.
 const WORD_BITS: usize = 64;
 
+/// Words per chunk of [`LinkBitSet::intersects_words`]: one 256-bit
+/// vector register holds 4×u64.
+const LANE_WORDS: usize = 4;
+
 /// A set of [`LinkId`]s stored as `u64` blocks, indexed by id.
 ///
 /// Inserts grow the block array on demand; membership and word-parallel
@@ -112,18 +116,33 @@ impl LinkBitSet {
 
     /// Like [`intersects`](Self::intersects), against a raw block slice
     /// (e.g. one row of [`CrossLinkTable`](crate::CrossLinkTable)'s
-    /// crossing-mask matrix).
+    /// crossing-mask matrix) — the phase-1 sweep's exclusion probe.
+    ///
+    /// Trailing words of the longer side are ignored. The overlap is
+    /// scanned in 4×u64 chunks reduced as an OR of ANDs: each chunk's four
+    /// ANDs are independent, so the loop carries no data-dependent early
+    /// exit per word — the shape LLVM vectorizes to 256-bit operations
+    /// where available, on stable Rust with no `unsafe`. The sub-chunk
+    /// tail runs one word at a time.
     #[inline]
     pub fn intersects_words(&self, words: &[u64]) -> bool {
-        crate::kernels::intersect_any_scalar(&self.words, words)
-    }
-
-    /// Like [`intersects_words`](Self::intersects_words), but through an
-    /// explicit [`MaskKernel`](crate::MaskKernel) — the sweep hot path's
-    /// entry point for the batched/AVX2 lanes.
-    #[inline]
-    pub fn intersects_words_with(&self, kernel: crate::MaskKernel, words: &[u64]) -> bool {
-        crate::kernels::intersect_any(kernel, &self.words, words)
+        let n = self.words.len().min(words.len());
+        let (Some(a), Some(b)) = (self.words.get(..n), words.get(..n)) else {
+            return false;
+        };
+        let mut ca = a.chunks_exact(LANE_WORDS);
+        let mut cb = b.chunks_exact(LANE_WORDS);
+        for (ax, bx) in ca.by_ref().zip(cb.by_ref()) {
+            if let ([a0, a1, a2, a3], [b0, b1, b2, b3]) = (ax, bx) {
+                if (a0 & b0) | (a1 & b1) | (a2 & b2) | (a3 & b3) != 0 {
+                    return true;
+                }
+            }
+        }
+        ca.remainder()
+            .iter()
+            .zip(cb.remainder())
+            .any(|(x, y)| x & y != 0)
     }
 
     /// Adds every member of `other` (word-parallel OR).
@@ -244,5 +263,69 @@ mod tests {
         a.clear();
         assert!(a.is_empty());
         assert!(!a.words().is_empty(), "clear retains capacity");
+    }
+
+    /// A set holding exactly the bits of `words`, with exactly
+    /// `words.len()` blocks (so all-zero words still take part).
+    fn from_words(words: &[u64]) -> LinkBitSet {
+        let mut s = LinkBitSet::with_link_capacity(words.len() * WORD_BITS);
+        for (w, &word) in words.iter().enumerate() {
+            for i in (0..WORD_BITS).filter(|i| word >> i & 1 == 1) {
+                s.insert(LinkId((w * WORD_BITS + i) as u32));
+            }
+        }
+        s
+    }
+
+    /// The word-at-a-time reference the chunked probe must equal.
+    fn scalar_oracle(a: &[u64], b: &[u64]) -> bool {
+        a.iter().zip(b).any(|(x, y)| x & y != 0)
+    }
+
+    #[test]
+    fn intersects_words_matches_scalar_on_fixed_cases() {
+        let cases: &[(&[u64], &[u64])] = &[
+            (&[], &[]),
+            (&[1], &[]),
+            (&[1], &[1]),
+            (&[1], &[2]),
+            (&[0, 0, 0, 0, 1], &[0, 0, 0, 0, 1]),
+            (&[0, 0, 0, 0, 1], &[0, 0, 0, 0, 2]),
+            (&[u64::MAX; 7], &[0; 7]),
+            (&[0, 0, 0, 1 << 63], &[0, 0, 0, 1 << 63]),
+        ];
+        for (a, b) in cases {
+            let want = scalar_oracle(a, b);
+            assert_eq!(from_words(a).intersects_words(b), want, "{a:?} ∩ {b:?}");
+        }
+    }
+
+    #[test]
+    fn intersects_words_ignores_trailing_words() {
+        let cases: &[(&[u64], &[u64])] = &[
+            (&[0, 0], &[0, 0, u64::MAX]),
+            (&[0, 0, u64::MAX], &[0, 0]),
+            (&[0, 0, 0, 0, u64::MAX], &[0, 0, 0, 0]),
+        ];
+        for (a, b) in cases {
+            assert!(!from_words(a).intersects_words(b), "{a:?} ∩ {b:?}");
+        }
+    }
+
+    /// Every length straddling the 4-word chunk boundary, with the hit
+    /// placed at each word position in turn.
+    #[test]
+    fn intersects_words_on_lane_boundary_lengths() {
+        for len in [0usize, 1, 3, 4, 5, 7, 8, 9] {
+            let zeros = vec![0u64; len];
+            assert!(!from_words(&zeros).intersects_words(&zeros), "len {len}");
+            for hit in 0..len {
+                let mut a = vec![0u64; len];
+                if let Some(x) = a.get_mut(hit) {
+                    *x = 1 << (hit % 64);
+                }
+                assert!(from_words(&a).intersects_words(&a), "len {len} hit {hit}");
+            }
+        }
     }
 }

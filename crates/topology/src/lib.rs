@@ -53,7 +53,6 @@ pub mod geometry;
 pub mod graph;
 pub mod grid;
 pub mod isp;
-pub mod kernels;
 pub mod pa;
 pub mod timeline;
 
@@ -66,5 +65,4 @@ pub use generate::GenerateError;
 pub use geometry::{Circle, Point, Polygon, Segment};
 pub use graph::{Link, LinkId, NodeId, Topology, TopologyBuilder, TopologyError, MAX_IDS};
 pub use grid::{PointGrid, SegmentGrid};
-pub use kernels::MaskKernel;
 pub use timeline::{Timeline, TimelineEvent};

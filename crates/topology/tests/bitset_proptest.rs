@@ -3,11 +3,23 @@
 //! identical to the linear scans it replaced.
 
 use proptest::prelude::*;
-use rtr_topology::{LinkBitSet, LinkId, MaskKernel};
+use rtr_topology::{LinkBitSet, LinkId};
 
-/// Every mask kernel.
-fn all_kernels() -> Vec<MaskKernel> {
-    vec![MaskKernel::Scalar, MaskKernel::Batched]
+/// The word-at-a-time oracle for the chunked crossing-mask probe.
+fn scalar_oracle(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// A set holding exactly the bits of `words`, with exactly `words.len()`
+/// blocks.
+fn from_words(words: &[u64]) -> LinkBitSet {
+    let mut s = LinkBitSet::with_link_capacity(words.len() * 64);
+    for (w, &word) in words.iter().enumerate() {
+        for i in (0..64).filter(|i| word >> i & 1 == 1) {
+            s.insert(LinkId((w * 64 + i) as u32));
+        }
+    }
+    s
 }
 
 /// The reference model: sorted, deduplicated ids (LinkBitSet iterates
@@ -60,42 +72,39 @@ proptest! {
         prop_assert_eq!(sa.intersects_words(sb.words()), expect);
     }
 
-    /// Batched (and, when compiled in, AVX2) mask kernels agree with the
-    /// scalar baseline on raw word slices whose lengths straddle the 4-word
-    /// lane boundary: 0, 1, 3, 4, 5 words and beyond, independently per
-    /// side so mismatched lengths are exercised too.
+    /// The chunked `intersects_words` probe agrees with the scalar oracle
+    /// on raw word slices whose lengths straddle the 4-word chunk
+    /// boundary (0, 1, 3, 4, 5, 7, 8, 9 words and between), independently
+    /// per side so mismatched lengths are exercised too.
     #[test]
-    fn mask_kernels_match_scalar_on_lane_boundaries(
+    fn intersects_words_matches_scalar_oracle(
         a in proptest::collection::vec(0u64..u64::MAX, 0..10),
         b in proptest::collection::vec(0u64..u64::MAX, 0..10),
         sparse_bit in 0usize..320,
     ) {
-        let expect = a.iter().zip(&b).any(|(x, y)| x & y != 0);
-        let sa: LinkBitSet = a
-            .iter()
-            .enumerate()
-            .flat_map(|(w, &word)| {
-                (0..64).filter(move |i| word >> i & 1 == 1).map(move |i| LinkId((w * 64 + i) as u32))
-            })
-            .collect();
-        for k in all_kernels() {
-            prop_assert_eq!(
-                rtr_topology::kernels::intersect_any(k, &a, &b),
-                expect,
-                "{:?} on {} x {} words", k, a.len(), b.len()
-            );
-            prop_assert_eq!(sa.intersects_words_with(k, &b), expect, "{:?} via LinkBitSet", k);
-        }
+        let expect = scalar_oracle(&a, &b);
+        prop_assert_eq!(
+            from_words(&a).intersects_words(&b),
+            expect,
+            "{} x {} words", a.len(), b.len()
+        );
 
-        // Random dense words rarely miss; pin the all-zero-but-one case so
-        // the "no intersection until the very last lane" path is covered.
-        let mut lone = vec![0u64; sparse_bit / 64 + 1];
-        if let Some(w) = lone.get_mut(sparse_bit / 64) {
-            *w = 1 << (sparse_bit % 64);
-        }
-        for k in all_kernels() {
-            prop_assert!(rtr_topology::kernels::intersect_any(k, &lone, &lone));
-            prop_assert!(!rtr_topology::kernels::intersect_any(k, &lone, &[]));
+        // Random dense words rarely miss; pin a lone bit at every
+        // lane-boundary length so the "no intersection until the very last
+        // lane" path is covered.
+        for len in [0usize, 1, 3, 4, 5, 7, 8, 9] {
+            let mut lone = vec![0u64; len];
+            let bit = sparse_bit % (len * 64).max(1);
+            if let Some(w) = lone.get_mut(bit / 64) {
+                *w = 1 << (bit % 64);
+            }
+            let set = from_words(&lone);
+            prop_assert_eq!(set.intersects_words(&lone), len > 0, "lone bit, {} words", len);
+            prop_assert_eq!(
+                set.intersects_words(&b),
+                scalar_oracle(&lone, &b),
+                "lone bit {} of {} words x {} words", bit, len, b.len()
+            );
         }
     }
 
