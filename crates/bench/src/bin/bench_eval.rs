@@ -68,6 +68,7 @@ fn median_sweep_secs(w: &Workload) -> f64 {
                             w.topo(),
                             w.crosslinks(),
                             &sc.scenario,
+                            w.table().tree(case.initiator),
                             case.initiator,
                             case.failed_link,
                         )
@@ -95,6 +96,7 @@ fn mean_nodes_touched(w: &Workload) -> f64 {
                     w.topo(),
                     w.crosslinks(),
                     &sc.scenario,
+                    w.table().tree(initiator),
                     initiator,
                     failed_link,
                 )

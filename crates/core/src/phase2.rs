@@ -10,7 +10,7 @@
 //! calculation — the paper's Table III/IV "RTR = 1" column.
 
 use rtr_obs::{DiscardReason, Event, NoopSink, TraceSink};
-use rtr_routing::{IncrementalSpt, Path, SourceRoute, SptScratch, BYTES_PER_HOP};
+use rtr_routing::{IncrementalSpt, Path, ShortestPaths, SourceRoute, SptScratch, BYTES_PER_HOP};
 use rtr_sim::{CollectionHeader, ForwardingTrace, LinkIdSet};
 use rtr_topology::{FullView, GraphView, LinkId, NodeId, Topology};
 
@@ -103,21 +103,56 @@ impl<'a> RecoveryComputer<'a> {
         scratch: &mut RecoveryScratch,
         sink: &mut S,
     ) -> Self {
-        let mut removed = LinkIdSet::new();
-        for l in header.failed_links() {
-            removed.insert(l);
-        }
-        for &(_, l) in topo.neighbors(initiator) {
-            if !local_view.is_link_usable(topo, l) {
-                removed.insert(l);
-            }
-        }
-        let mut spt = IncrementalSpt::with_view_in(
+        let spt = IncrementalSpt::with_view_in(
             topo,
             believed_base,
             initiator,
             std::mem::take(&mut scratch.spt),
         );
+        Self::repaired(topo, spt, local_view, header, scratch, sink)
+    }
+
+    /// Like [`new_in`](Self::new_in), but starts from `seed`, the
+    /// initiator's converged intact-topology tree (its
+    /// [`RoutingTable::tree`](rtr_routing::RoutingTable::tree)), instead of
+    /// recomputing it: the incremental update of §III-D applied to the
+    /// tree the router already holds. The result — distances, parents,
+    /// [`nodes_touched`](Self::nodes_touched) and every recovery path — is
+    /// identical to `new_in`'s; only the intact Dijkstra run is skipped. A seed rooted elsewhere or sized for another topology
+    /// falls back to that run (see [`IncrementalSpt::seeded_in`]).
+    pub fn new_seeded_in(
+        topo: &'a Topology,
+        seed: &ShortestPaths,
+        local_view: &impl GraphView,
+        initiator: NodeId,
+        header: &CollectionHeader,
+        scratch: &mut RecoveryScratch,
+    ) -> Self {
+        let spt =
+            IncrementalSpt::seeded_in(topo, initiator, seed, std::mem::take(&mut scratch.spt));
+        Self::repaired(topo, spt, local_view, header, scratch, &mut NoopSink)
+    }
+
+    /// The one construction body: removes the collected and locally known
+    /// failed links from the starting tree `spt` (rooted at the initiator)
+    /// and sets up the path cache from `scratch`.
+    fn repaired<S: TraceSink>(
+        topo: &'a Topology,
+        mut spt: IncrementalSpt<'a>,
+        local_view: &impl GraphView,
+        header: &CollectionHeader,
+        scratch: &mut RecoveryScratch,
+        sink: &mut S,
+    ) -> Self {
+        let mut removed = LinkIdSet::new();
+        for l in header.failed_links() {
+            removed.insert(l);
+        }
+        for &(_, l) in topo.neighbors(spt.source()) {
+            if !local_view.is_link_usable(topo, l) {
+                removed.insert(l);
+            }
+        }
         spt.remove_links_traced(removed.iter(), sink);
         let mut cache = std::mem::take(&mut scratch.cache);
         cache.clear();

@@ -15,7 +15,7 @@
 use crate::error::Phase1Error;
 use crate::phase2::RecoveryScratch;
 use crate::recovery::RtrSession;
-use rtr_routing::{DijkstraScratch, IncrementalSpt, SptScratch};
+use rtr_routing::{DijkstraScratch, IncrementalSpt, ShortestPaths, SptScratch};
 use rtr_topology::{CrossLinkTable, GraphView, LinkId, LinkMask, NodeId, Topology};
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -51,15 +51,18 @@ impl SchemeScratch {
 ///
 /// ```
 /// use rtr_core::SessionPool;
-/// use rtr_topology::{generate, CrossLinkTable, FailureScenario, NodeId, Region};
+/// use rtr_topology::{generate, CrossLinkTable, FailureScenario, FullView, NodeId, Region};
 ///
 /// let topo = generate::grid(5, 5, 100.0);
 /// let crosslinks = CrossLinkTable::new(&topo);
 /// let scenario = FailureScenario::from_region(&topo, &Region::circle((200.0, 200.0), 50.0));
 /// let failed = topo.link_between(NodeId(11), NodeId(12)).unwrap();
+/// // The initiator's converged tree, as its routing table holds it.
+/// let seed = rtr_routing::dijkstra::dijkstra(&topo, &FullView, NodeId(11));
 ///
 /// let pool = SessionPool::new();
-/// let mut session = pool.start_session(&topo, &crosslinks, &scenario, NodeId(11), failed)?;
+/// let mut session =
+///     pool.start_session(&topo, &crosslinks, &scenario, &seed, NodeId(11), failed)?;
 /// assert!(session.recover(NodeId(13)).is_delivered());
 /// drop(session); // buffers return to the pool for the next checkout
 /// # Ok::<(), rtr_core::Phase1Error>(())
@@ -81,6 +84,12 @@ impl SessionPool {
     /// Starts an [`RtrSession`] from pooled buffers. The returned guard
     /// derefs to the session and recycles its buffers on drop.
     ///
+    /// `seed` is the initiator's converged intact-topology tree — its
+    /// [`RoutingTable::tree`](rtr_routing::RoutingTable::tree) — which
+    /// phase 2 repairs instead of recomputing (see
+    /// [`RtrSession::start_seeded_in`]); the session is identical
+    /// to an unseeded [`RtrSession::start_in`].
+    ///
     /// # Errors
     ///
     /// Same contract as [`RtrSession::start`]; on error the buffers go
@@ -90,14 +99,16 @@ impl SessionPool {
         topo: &'a Topology,
         crosslinks: &CrossLinkTable,
         view: &'a V,
+        seed: &ShortestPaths,
         initiator: NodeId,
         failed_default_link: LinkId,
     ) -> Result<PooledSession<'p, 'a, V>, Phase1Error> {
         let mut scratch = self.recovery.borrow_mut().pop().unwrap_or_default();
-        match RtrSession::start_in(
+        match RtrSession::start_seeded_in(
             topo,
             crosslinks,
             view,
+            seed,
             initiator,
             failed_default_link,
             &mut scratch,
@@ -357,9 +368,12 @@ mod tests {
     #[test]
     fn session_checkout_recovers_and_returns_buffers() {
         let (topo, xl, s, init, failed) = grid_case();
+        let seed = rtr_routing::dijkstra::dijkstra(&topo, &FullView, init);
         let pool = SessionPool::new();
         {
-            let mut session = pool.start_session(&topo, &xl, &s, init, failed).unwrap();
+            let mut session = pool
+                .start_session(&topo, &xl, &s, &seed, init, failed)
+                .unwrap();
             assert!(session.phase1().is_complete());
             assert!(session.recover(NodeId(5)).is_delivered());
         }
@@ -367,7 +381,9 @@ mod tests {
         // The recycled scratch is reused by the next
         // checkout instead of growing the freelist.
         {
-            let _again = pool.start_session(&topo, &xl, &s, init, failed).unwrap();
+            let _again = pool
+                .start_session(&topo, &xl, &s, &seed, init, failed)
+                .unwrap();
             assert_eq!(pool.recovery.borrow().len(), 0);
         }
         assert_eq!(pool.recovery.borrow().len(), 1);
@@ -379,7 +395,10 @@ mod tests {
         let pool = SessionPool::new();
         // A live link is not a valid failed default link.
         let live = topo.link_between(NodeId(0), NodeId(1)).unwrap();
-        assert!(pool.start_session(&topo, &xl, &s, init, live).is_err());
+        let seed = rtr_routing::dijkstra::dijkstra(&topo, &FullView, init);
+        assert!(pool
+            .start_session(&topo, &xl, &s, &seed, init, live)
+            .is_err());
         assert_eq!(pool.recovery.borrow().len(), 1);
     }
 

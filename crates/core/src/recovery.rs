@@ -10,8 +10,8 @@ use crate::phase2::{
     RecoveryScratch,
 };
 use rtr_obs::{NoopSink, TraceSink};
-use rtr_routing::Path;
-use rtr_sim::ForwardingTrace;
+use rtr_routing::{Path, ShortestPaths};
+use rtr_sim::{CollectionHeader, ForwardingTrace};
 use rtr_topology::{CrossLinkTable, GraphView, LinkId, NodeId, Topology};
 
 /// One recovery attempt for a destination.
@@ -117,22 +117,17 @@ impl<'a, V: GraphView> RtrSession<'a, V> {
         scratch: &mut RecoveryScratch,
         sink: &mut S,
     ) -> Result<Self, Phase1Error> {
-        let phase1 = collect_failure_info_traced(
+        Self::start_with(
             topo,
             crosslinks,
             view,
             initiator,
             failed_default_link,
             sink,
-        )?;
-        let computer =
-            RecoveryComputer::new_traced_in(topo, view, initiator, &phase1.header, scratch, sink);
-        Ok(RtrSession {
-            topo,
-            view,
-            phase1,
-            computer,
-        })
+            |header, sink| {
+                RecoveryComputer::new_traced_in(topo, view, initiator, header, scratch, sink)
+            },
+        )
     }
 
     /// Like [`start_traced_in`](Self::start_traced_in), but the
@@ -159,6 +154,69 @@ impl<'a, V: GraphView> RtrSession<'a, V> {
         scratch: &mut RecoveryScratch,
         sink: &mut S,
     ) -> Result<Self, Phase1Error> {
+        Self::start_with(
+            topo,
+            crosslinks,
+            view,
+            initiator,
+            failed_default_link,
+            sink,
+            |header, sink| {
+                RecoveryComputer::new_based_traced_in(
+                    topo,
+                    believed_base,
+                    view,
+                    initiator,
+                    header,
+                    scratch,
+                    sink,
+                )
+            },
+        )
+    }
+
+    /// Like [`start_in`](Self::start_in), but the phase-2 tree starts
+    /// from `seed`, the initiator's converged intact-topology tree (its
+    /// [`RoutingTable::tree`](rtr_routing::RoutingTable::tree)), instead
+    /// of being recomputed — see [`RecoveryComputer::new_seeded_in`].
+    /// Every result is identical to `start_in`'s.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`RtrSession::start`].
+    pub fn start_seeded_in(
+        topo: &'a Topology,
+        crosslinks: &CrossLinkTable,
+        view: &'a V,
+        seed: &ShortestPaths,
+        initiator: NodeId,
+        failed_default_link: LinkId,
+        scratch: &mut RecoveryScratch,
+    ) -> Result<Self, Phase1Error> {
+        Self::start_with(
+            topo,
+            crosslinks,
+            view,
+            initiator,
+            failed_default_link,
+            &mut NoopSink,
+            |header, _| {
+                RecoveryComputer::new_seeded_in(topo, seed, view, initiator, header, scratch)
+            },
+        )
+    }
+
+    /// Runs phase 1, then hands its collected header to `computer` to
+    /// build the phase-2 view: the body every `start*` constructor shares.
+    fn start_with<S: TraceSink>(
+        topo: &'a Topology,
+        crosslinks: &CrossLinkTable,
+        view: &'a V,
+        initiator: NodeId,
+        failed_default_link: LinkId,
+        sink: &mut S,
+        computer: impl FnOnce(&CollectionHeader, &mut S) -> RecoveryComputer<'a>,
+    ) -> Result<Self, Phase1Error> {
         let phase1 = collect_failure_info_traced(
             topo,
             crosslinks,
@@ -167,15 +225,7 @@ impl<'a, V: GraphView> RtrSession<'a, V> {
             failed_default_link,
             sink,
         )?;
-        let computer = RecoveryComputer::new_based_traced_in(
-            topo,
-            believed_base,
-            view,
-            initiator,
-            &phase1.header,
-            scratch,
-            sink,
-        );
+        let computer = computer(&phase1.header, sink);
         Ok(RtrSession {
             topo,
             view,

@@ -12,7 +12,7 @@
 //! and underpins the loop-freedom proof of Theorem 1.
 
 use rtr_sim::LinkIdSet;
-use rtr_topology::geometry::ccw_angle;
+use rtr_topology::geometry::ccw_turn;
 use rtr_topology::{CrossLinkTable, GraphView, LinkId, NodeId, Topology};
 
 /// Borrowed context for the crossing-exclusion probes of one sweep: the
@@ -84,26 +84,32 @@ pub fn select_next_hop(
     reference: NodeId,
     ctx: &SweepContext<'_>,
 ) -> Option<(NodeId, LinkId)> {
+    // Absolute directions were cached at build time (parallel to
+    // `neighbors`), so each candidate costs one subtraction plus the
+    // fixed `ccw_turn` normalisation — bit for bit `ccw_angle` of the
+    // two position differences.
+    let neighbors = topo.neighbors(at);
+    let angles = topo.neighbor_angles(at);
+    let ref_angle = neighbors
+        .iter()
+        .zip(angles)
+        .find(|&(&(nbr, _), _)| nbr == reference)
+        .map(|(_, &a)| a);
     assert!(
-        topo.link_between(at, reference).is_some(),
+        ref_angle.is_some(),
         "sweep reference {reference} must be a neighbor of {at}"
     );
-    let origin = topo.position(at);
-    let ref_pos = topo.position(reference);
-    let ref_dir = (ref_pos.x - origin.x, ref_pos.y - origin.y);
+    let ref_angle = ref_angle.unwrap_or_default();
 
     let mut best: Option<(f64, NodeId, LinkId)> = None;
-    for &(nbr, link) in topo.neighbors(at) {
+    for (&(nbr, link), &abs) in neighbors.iter().zip(angles) {
         if !view.is_link_usable(topo, link) {
             continue;
         }
         if ctx.is_excluded(link) {
             continue;
         }
-        let pos = topo.position(nbr);
-        let dir = (pos.x - origin.x, pos.y - origin.y);
-        let angle = ccw_angle(ref_dir, dir);
-        let candidate = (angle, nbr, link);
+        let candidate = (ccw_turn(ref_angle, abs), nbr, link);
         match best {
             None => best = Some(candidate),
             Some(cur) => {

@@ -1,5 +1,6 @@
 //! Dynamic allocation-discipline check: after one warm-up pass, a recovery
-//! session serves every destination with **zero** heap allocations.
+//! session serves every destination with **zero** heap allocations, and a
+//! seeded phase-2 tree is built and repaired with none either.
 //!
 //! This is the runtime counterpart of the static `alloc-discipline` rule in
 //! `cargo xtask analyze` (see `crates/xtask/src/rules/alloc.rs`): the rule
@@ -13,8 +14,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rtr_core::RtrSession;
 use rtr_obs::NoopSink;
+use rtr_routing::{IncrementalSpt, RoutingTable, SptScratch};
 use rtr_sim::ForwardingTrace;
-use rtr_topology::{generate, CrossLinkTable, FailureScenario, NodeId};
+use rtr_topology::{generate, CrossLinkTable, FailureScenario, FullView, NodeId};
 
 /// [`System`] wrapped with an allocation counter. Deallocations are not
 /// counted: freeing is fine in steady state (it cannot fail or syscall in
@@ -107,6 +109,34 @@ fn steady_state_recovery_allocates_nothing() {
         0,
         "steady-state recovery must perform zero heap allocations \
          (got {} across 3 passes)",
+        after - before
+    );
+
+    // A seeded session start copies the initiator's converged tree into
+    // warm buffers instead of running Dijkstra: after one warm-up, the
+    // tree half of the start — seeding, the phase-2 removal, and handing
+    // the buffers back — allocates nothing either.
+    let table = RoutingTable::compute(&topo, &FullView);
+    let removal = session.computer().removed_links().clone();
+    let mut scratch = SptScratch::default();
+    for _ in 0..2 {
+        let mut spt = IncrementalSpt::seeded_in(&topo, initiator, table.tree(initiator), scratch);
+        spt.remove_links(removal.iter());
+        scratch = spt.into_scratch();
+    }
+    let before = allocs();
+    for _ in 0..3 {
+        let mut spt = IncrementalSpt::seeded_in(&topo, initiator, table.tree(initiator), scratch);
+        spt.remove_links(removal.iter());
+        assert!(spt.nodes_touched() > 0, "the removal repairs the tree");
+        scratch = spt.into_scratch();
+    }
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "a warm seeded tree must perform zero heap allocations \
+         (got {} across 3 starts)",
         after - before
     );
 }

@@ -10,8 +10,10 @@
 //! byte.
 
 use rtr_core::SessionPool;
+use rtr_routing::RoutingTable;
 use rtr_topology::{
-    generate, CrossLinkTable, FailureScenario, GraphView, LinkId, NodeId, Region, Topology,
+    generate, CrossLinkTable, FailureScenario, FullView, GraphView, LinkId, NodeId, Region,
+    Topology,
 };
 
 /// One RTR session to run: initiator, its failed default link, and the
@@ -80,13 +82,15 @@ fn transcript(
     pool: &SessionPool,
     topo: &Topology,
     xl: &CrossLinkTable,
+    table: &RoutingTable,
     scenarios: &[FailureScenario],
     spec: &Spec,
 ) -> String {
     let Some(view) = scenarios.get(spec.scenario) else {
         return format!("no scenario {}", spec.scenario);
     };
-    let session = pool.start_session(topo, xl, view, spec.initiator, spec.failed_link);
+    let seed = table.tree(spec.initiator);
+    let session = pool.start_session(topo, xl, view, seed, spec.initiator, spec.failed_link);
     let mut session = match session {
         Ok(s) => s,
         Err(e) => return format!("phase1-err {e:?}"),
@@ -111,6 +115,7 @@ fn transcript(
 fn sharded_pools_match_the_serial_driver() {
     let topo = generate::grid(6, 6, 100.0);
     let xl = CrossLinkTable::new(&topo);
+    let table = RoutingTable::compute(&topo, &FullView);
     let scenarios = scenarios(&topo);
     let specs = specs(&topo, &scenarios);
     assert!(
@@ -123,7 +128,7 @@ fn sharded_pools_match_the_serial_driver() {
     let serial_pool = SessionPool::new();
     let serial: Vec<String> = specs
         .iter()
-        .map(|s| transcript(&serial_pool, &topo, &xl, &scenarios, s))
+        .map(|s| transcript(&serial_pool, &topo, &xl, &table, &scenarios, s))
         .collect();
 
     // Concurrent: N threads, each with its own pool, strided sharding
@@ -137,6 +142,7 @@ fn sharded_pools_match_the_serial_driver() {
                     let specs = &specs;
                     let topo = &topo;
                     let xl = &xl;
+                    let table = &table;
                     let scenarios = &scenarios;
                     scope.spawn(move || {
                         let pool = SessionPool::new();
@@ -145,7 +151,7 @@ fn sharded_pools_match_the_serial_driver() {
                             .enumerate()
                             .skip(t)
                             .step_by(threads)
-                            .map(|(i, s)| (i, transcript(&pool, topo, xl, scenarios, s)))
+                            .map(|(i, s)| (i, transcript(&pool, topo, xl, table, scenarios, s)))
                             .collect::<Vec<_>>()
                     })
                 })

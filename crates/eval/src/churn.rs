@@ -15,7 +15,7 @@
 //!   harvest uses — and folds [`TimelineEvent`]s into it **incrementally**:
 //!   each per-source tree is patched in place with the Narvaez-style
 //!   remove/restore repairs of
-//!   [`IncrementalSpt`](rtr_routing::IncrementalSpt), and only the sources
+//!   [`IncrementalSpt`], and only the sources
 //!   whose tree actually changed get their buckets rebuilt. A from-scratch
 //!   [`rebuilt`](DynamicBaseline::rebuilt) oracle plus
 //!   [`divergence`](DynamicBaseline::divergence) proves the patched state

@@ -110,6 +110,7 @@ fn run_scenario(
             w.topo(),
             w.crosslinks(),
             &sc.scenario,
+            w.table().tree(initiator),
             initiator,
             failed_link,
         );
@@ -151,6 +152,7 @@ fn run_scenario(
             w.topo(),
             w.crosslinks(),
             &sc.scenario,
+            w.table().tree(initiator),
             initiator,
             failed_link,
         );

@@ -5,7 +5,7 @@
 //! behind [`RecoveryScheme`](rtr_baselines::RecoveryScheme) differ most in
 //! how they degrade as the failure *distribution* changes, so this
 //! extension crosses every scheme with the four
-//! [`ScenarioClass`](crate::testcase::ScenarioClass)es — single link,
+//! [`ScenarioClass`]es — single link,
 //! sparse multi-link, one correlated area, two areas — and reports each
 //! scheme's delivery rate and mean stretch on recoverable cases,
 //! aggregated over the selected topologies.

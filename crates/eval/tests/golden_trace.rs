@@ -135,6 +135,7 @@ fn replayed_events_byte_equal_driver_metrics() {
                 w.topo(),
                 w.crosslinks(),
                 &sc.scenario,
+                w.table().tree(initiator),
                 initiator,
                 failed_link,
             )

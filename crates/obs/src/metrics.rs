@@ -1,7 +1,7 @@
 //! A registry of monotonic counters and coarse histograms.
 //!
 //! [`MetricsRegistry`] is the standard aggregating sink: it implements
-//! [`TraceSink`](crate::TraceSink) by folding each event into counters,
+//! [`TraceSink`] by folding each event into counters,
 //! and offers explicit `record_*` methods for per-session quantities
 //! (hops, header bytes, SP calculations) and per-phase wall time that
 //! are not derivable from a single event. `rtr-eval` keeps one registry

@@ -23,6 +23,15 @@
 //!   yields ascending `(dist, node)` across the whole run, duplicates
 //!   included.
 //!
+//! The labels would be the same in any order within a key (`run_raw`
+//! settles equal-cost parents through its explicit tie-break), but the
+//! sort pays for itself: with ascending ids, a node's smallest tight
+//! predecessor relaxes it first, so later equal-cost predecessors never
+//! improve its label and never re-push it. Draining in push order instead
+//! re-pushes on those ties, and every duplicate pop re-relaxes the
+//! node's whole adjacency — on hop-count costs, where ties are the rule,
+//! perfbench's `eval-table2` lost about 12 % throughput without the sort.
+//!
 //! `tests/dijkstra_proptest.rs` pins distances and parents against a
 //! test-local binary-heap Dijkstra.
 //!

@@ -15,8 +15,9 @@ use rtr_topology::{GraphView, LinkId, NodeId, Topology};
 #[derive(Debug, Clone)]
 pub struct ShortestPaths {
     source: NodeId,
-    dist: Vec<Option<u64>>,
-    parent: Vec<Option<(NodeId, LinkId)>>,
+    // Crate-visible so `IncrementalSpt::seeded_in` can copy the labels.
+    pub(crate) dist: Vec<Option<u64>>,
+    pub(crate) parent: Vec<Option<(NodeId, LinkId)>>,
 }
 
 impl ShortestPaths {

@@ -12,6 +12,7 @@
 //! backing the incremental-vs-full ablation bench.
 
 use crate::dial::DialQueue;
+use crate::dijkstra::ShortestPaths;
 use crate::path::Path;
 use rtr_obs::{Event, TraceSink};
 use rtr_topology::{GraphView, LinkId, NodeId, Topology};
@@ -118,20 +119,44 @@ impl<'a> IncrementalSpt<'a> {
         source: NodeId,
         scratch: SptScratch,
     ) -> Self {
-        let mut me = IncrementalSpt {
-            topo,
-            source,
-            dist: scratch.dist,
-            parent: scratch.parent,
-            removed: scratch.removed,
-            nodes_touched: 0,
-            children: scratch.children,
-            affected: scratch.affected,
-            stack: scratch.stack,
-            heap: scratch.heap,
-            queue: scratch.queue,
-        };
+        let mut me = Self::adopt(topo, source, scratch);
         me.reset(view, source);
+        me
+    }
+
+    /// Starts from a tree the caller already holds instead of running
+    /// Dijkstra: `tree`'s labels are copied into `scratch`'s buffers
+    /// (capacity retained, so a warm scratch allocates nothing) and no
+    /// link is marked removed.
+    ///
+    /// `tree` must be the intact-topology tree of `topo` rooted at
+    /// `source` — e.g. a router's converged
+    /// [`RoutingTable::tree`](crate::RoutingTable::tree). That tree comes
+    /// from the same Dijkstra kernel and tie-break as
+    /// [`with_view_in`](Self::with_view_in) over
+    /// [`FullView`](rtr_topology::FullView), so the result is
+    /// label-for-label the fresh build, without its cost. A tree rooted
+    /// elsewhere or sized for another topology is detected and the tree
+    /// is rebuilt from the intact view instead, as
+    /// [`resume_in`](Self::resume_in) does.
+    pub fn seeded_in(
+        topo: &'a Topology,
+        source: NodeId,
+        tree: &ShortestPaths,
+        scratch: SptScratch,
+    ) -> Self {
+        let mut me = Self::adopt(topo, source, scratch);
+        let n = topo.node_count();
+        if tree.source() == source && tree.dist.len() == n && tree.parent.len() == n {
+            me.dist.clear();
+            me.dist.extend_from_slice(&tree.dist);
+            me.parent.clear();
+            me.parent.extend_from_slice(&tree.parent);
+            me.removed.clear();
+            me.removed.resize(topo.link_count(), false);
+        } else {
+            me.reset(&rtr_topology::FullView, source);
+        }
         me
     }
 
@@ -154,7 +179,17 @@ impl<'a> IncrementalSpt<'a> {
         let sized_for_topo = scratch.dist.len() == topo.node_count()
             && scratch.parent.len() == topo.node_count()
             && scratch.removed.len() == topo.link_count();
-        let mut me = IncrementalSpt {
+        let mut me = Self::adopt(topo, source, scratch);
+        if !sized_for_topo {
+            me.reset(&rtr_topology::FullView, source);
+        }
+        me
+    }
+
+    /// Wraps `scratch`'s buffers, labels as they are, in a tree over
+    /// `topo` rooted at `source`.
+    fn adopt(topo: &'a Topology, source: NodeId, scratch: SptScratch) -> Self {
+        IncrementalSpt {
             topo,
             source,
             dist: scratch.dist,
@@ -166,11 +201,7 @@ impl<'a> IncrementalSpt<'a> {
             stack: scratch.stack,
             heap: scratch.heap,
             queue: scratch.queue,
-        };
-        if !sized_for_topo {
-            me.reset(&rtr_topology::FullView, source);
         }
-        me
     }
 
     /// Dissolves the tree into its buffer bundle for reuse by the next one.
@@ -389,7 +420,7 @@ impl<'a> IncrementalSpt<'a> {
     }
 
     /// Like [`remove_links`](Self::remove_links), additionally emitting
-    /// one [`Event::SptRecompute`](rtr_obs::Event::SptRecompute) into
+    /// one [`Event::SptRecompute`] into
     /// `sink` once the repair completes (one emission per shortest-path
     /// calculation — the Table IV `#SP` unit). With
     /// [`NoopSink`](rtr_obs::NoopSink) this monomorphizes to exactly
@@ -470,7 +501,7 @@ impl<'a> IncrementalSpt<'a> {
     }
 
     /// Like [`restore_links`](Self::restore_links), additionally emitting
-    /// one [`Event::SptRecompute`](rtr_obs::Event::SptRecompute) with the
+    /// one [`Event::SptRecompute`] with the
     /// repair's touched-node count. With [`NoopSink`](rtr_obs::NoopSink)
     /// this monomorphizes to exactly `restore_links`.
     pub fn restore_links_traced<S: TraceSink>(

@@ -305,6 +305,7 @@ pub fn answer(fleet: &Fleet, pool: &SessionPool, req: &RecoverRequest) -> Respon
         topo,
         base.crosslinks(),
         scenario.as_ref(),
+        base.table().tree(NodeId(req.initiator)),
         NodeId(req.initiator),
         LinkId(req.failed_link),
     );

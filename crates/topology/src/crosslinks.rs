@@ -80,8 +80,8 @@ pub struct CrossLinkTable {
 
 impl CrossLinkTable {
     /// Builds the table for every link of `topo`: the all-pairs oracle for
-    /// small topologies, the grid index beyond [`ALL_PAIRS_MAX_LINKS`]
-    /// links. Both produce the identical table.
+    /// small topologies, the grid index beyond 1,024 links. Both produce
+    /// the identical table.
     pub fn new(topo: &Topology) -> Self {
         if topo.link_count() <= ALL_PAIRS_MAX_LINKS {
             Self::new_all_pairs(topo)
@@ -188,7 +188,7 @@ impl CrossLinkTable {
     /// mode-independent probe use [`crosses_any`](Self::crosses_any).
     ///
     /// Intersecting this row with a
-    /// [`LinkBitSet`](crate::bitset::LinkBitSet) answers "does `l` cross
+    /// [`LinkBitSet`] answers "does `l` cross
     /// any link of the set?" in `stride` AND operations.
     pub fn crossing_mask(&self, l: LinkId) -> &[u64] {
         if !self.dense {

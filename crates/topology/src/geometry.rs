@@ -327,8 +327,18 @@ impl Polygon {
 /// what lets a packet travel back over the link it arrived on when every
 /// other neighbor is unusable (the fallback in Theorem 1's proof).
 pub fn ccw_angle(from: (f64, f64), to: (f64, f64)) -> f64 {
-    let a0 = from.1.atan2(from.0);
-    let a1 = to.1.atan2(to.0);
+    ccw_turn(from.1.atan2(from.0), to.1.atan2(to.0))
+}
+
+/// Counterclockwise turn from absolute direction `a0` to absolute direction
+/// `a1` (both in radians, as returned by `atan2`), normalised into
+/// `(0, 2π]` exactly as [`ccw_angle`] does: `ccw_angle(from, to)` is
+/// `ccw_turn(atan2(from), atan2(to))` bit for bit.
+///
+/// The phase-1 sweep calls this on the per-neighbor directions cached by
+/// [`Topology::neighbor_angles`](crate::Topology::neighbor_angles), so it
+/// ranks candidates without any trigonometry.
+pub fn ccw_turn(a0: f64, a1: f64) -> f64 {
     let mut d = a1 - a0;
     const TAU: f64 = std::f64::consts::TAU;
     while d <= 0.0 {

@@ -197,6 +197,9 @@ pub struct Topology {
     adj_offsets: Vec<u32>,
     /// Flat `(neighbor, link)` entries backing [`Topology::neighbors`].
     adj_entries: Vec<(NodeId, LinkId)>,
+    /// Absolute direction of each adjacency entry, parallel to
+    /// `adj_entries`, backing [`Topology::neighbor_angles`].
+    adj_angles: Vec<f64>,
     /// Largest per-direction link cost, fixed at build time. Bounds the
     /// key span of any Dijkstra frontier (see [`Topology::max_link_cost`]).
     max_link_cost: u32,
@@ -260,16 +263,24 @@ impl Topology {
     /// Neighbors of `n` as `(neighbor, link)` pairs, in insertion order.
     /// An out-of-range node has no neighbors.
     pub fn neighbors(&self, n: NodeId) -> &[(NodeId, LinkId)] {
+        self.adj_entries.get(self.adj_range(n)).unwrap_or(&[])
+    }
+
+    /// Absolute direction (radians, in `[-π, π]`) from `n` toward each of
+    /// its neighbors, parallel to [`neighbors`](Self::neighbors): entry `i`
+    /// is `(q.y - p.y).atan2(q.x - p.x)` for `p = position(n)` and `q` the
+    /// position of `neighbors(n)[i].0`. Computed once at build time so the
+    /// phase-1 sweep ranks candidates without trigonometry.
+    pub fn neighbor_angles(&self, n: NodeId) -> &[f64] {
+        self.adj_angles.get(self.adj_range(n)).unwrap_or(&[])
+    }
+
+    /// Node `n`'s slots in the CSR arrays (empty when out of range).
+    fn adj_range(&self, n: NodeId) -> std::ops::Range<usize> {
         let i = n.index();
-        match (
-            self.adj_offsets.get(i).copied(),
-            self.adj_offsets.get(i + 1).copied(),
-        ) {
-            (Some(start), Some(end)) => self
-                .adj_entries
-                .get(start as usize..end as usize)
-                .unwrap_or(&[]),
-            _ => &[],
+        match (self.adj_offsets.get(i), self.adj_offsets.get(i + 1)) {
+            (Some(&start), Some(&end)) => start as usize..end as usize,
+            _ => 0..0,
         }
     }
 
@@ -466,9 +477,14 @@ impl TopologyBuilder {
         // counts are bounded by 2 * links <= 2^25, so offsets fit in u32.
         let mut adj_offsets = Vec::with_capacity(self.adjacency.len() + 1);
         let mut adj_entries = Vec::with_capacity(2 * self.links.len());
+        let mut adj_angles = Vec::with_capacity(2 * self.links.len());
         adj_offsets.push(0u32);
-        for list in &self.adjacency {
+        for (list, p) in self.adjacency.iter().zip(&self.positions) {
             adj_entries.extend_from_slice(list);
+            adj_angles.extend(list.iter().map(|&(nbr, _)| {
+                let q = self.positions.get(nbr.index()).copied().unwrap_or(*p);
+                (q.y - p.y).atan2(q.x - p.x)
+            }));
             adj_offsets.push(adj_entries.len() as u32);
         }
         let max_link_cost = self
@@ -482,6 +498,7 @@ impl TopologyBuilder {
             links: self.links,
             adj_offsets,
             adj_entries,
+            adj_angles,
             max_link_cost,
         })
     }

@@ -6,7 +6,7 @@
 //! recovered. A [`Timeline`] captures that regime as an ordered sequence
 //! of timestamped [`TimelineEvent`]s, each a batch of links going down
 //! and links coming back up. Applying the prefix of a timeline to a
-//! [`LinkMask`](crate::LinkMask) yields the converged routing view after
+//! [`LinkMask`] yields the converged routing view after
 //! that many events; the eval layer patches its per-topology baseline
 //! incrementally from event to event instead of recomputing it.
 //!

@@ -9,7 +9,7 @@
 //! every surviving violation must match a justified entry in
 //! `crates/xtask/allow.toml` ([`allow`]).
 //!
-//! `cargo xtask bench-record` / `bench-check` ([`bench`]) regenerate and
+//! `cargo xtask bench-record` / `bench-check` ([`bench`](mod@bench)) regenerate and
 //! validate the committed `BENCH_eval.json`.
 
 #![deny(missing_docs)]

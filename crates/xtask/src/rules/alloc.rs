@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 /// The steady-state functions held to zero lexical allocations, as
 /// `(workspace-relative file, fn name)`. Every same-named non-test `fn`
 /// in the file is checked.
-pub const STEADY_STATE_FNS: [(&str, &str); 14] = [
+pub const STEADY_STATE_FNS: [(&str, &str); 15] = [
     // Phase-1 sweep: next-hop selection and crossing-mask exclusion.
     ("crates/core/src/sweep.rs", "select_next_hop"),
     ("crates/core/src/sweep.rs", "is_excluded"),
@@ -33,6 +33,8 @@ pub const STEADY_STATE_FNS: [(&str, &str); 14] = [
     // Session entry points.
     ("crates/core/src/recovery.rs", "recover_traced"),
     ("crates/core/src/recovery.rs", "recover_reusing"),
+    // Phase-2 tree seeded from the converged routing table.
+    ("crates/routing/src/spt.rs", "seeded_in"),
     // Dijkstra bucket-queue inner ops.
     ("crates/routing/src/dial.rs", "push"),
     ("crates/routing/src/dial.rs", "pop"),
